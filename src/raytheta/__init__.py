@@ -41,7 +41,6 @@ from .rayclass import (
     in_k1f,
     lift_classes,
     psi_conductor,
-    unit_residues_mod,
     ray_class,
     ray_theta,
     reduce_class,

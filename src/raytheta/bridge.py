@@ -318,6 +318,29 @@ def split_coset(spec: CosetSpec, sub: QIdeal) -> list[CosetSpec]:
 # -- the two relation checkers ----------------------------------------------------------
 
 
+def cross_field_sides(
+    D: int,
+    Dprime: int,
+    F: Conductor,
+    Fprime: Conductor,
+    J: QIdeal,
+    Jprime: QIdeal,
+    d,
+    trunc,
+    bound: Optional[int] = None,
+) -> tuple[QSeries, QSeries]:
+    """The two theta differences (A - S)[J] over K and (A' - S')[J'] over K'."""
+    chi = CharacterPsi(D, Dprime)
+    chip = CharacterPsi(Dprime, D)
+    if not admissible(chi, F, chip, Fprime):
+        raise ValueError("conductor pair is not admissible")
+    A, S = compute_skew_sets(chi, F, bound)
+    Ap, Sp = compute_skew_sets(chip, Fprime, bound)
+    combo = (ClassCombo.sum_of(A) - ClassCombo.sum_of(S)).times(RayClassRef(J, F))
+    combop = (ClassCombo.sum_of(Ap) - ClassCombo.sum_of(Sp)).times(RayClassRef(Jprime, Fprime))
+    return ray_theta(combo, d, trunc), ray_theta(combop, d, trunc)
+
+
 def check_cross_field(
     D: int,
     Dprime: int,
@@ -338,18 +361,7 @@ def check_cross_field(
     checked at one d is equality for all d.
     """
     started = time.perf_counter()
-    chi = CharacterPsi(D, Dprime)
-    chip = CharacterPsi(Dprime, D)
-    if not admissible(chi, F, chip, Fprime):
-        raise ValueError("conductor pair is not admissible")
-    A, S = compute_skew_sets(chi, F, bound)
-    Ap, Sp = compute_skew_sets(chip, Fprime, bound)
-    xJ = RayClassRef(J, F)
-    xJp = RayClassRef(Jprime, Fprime)
-    combo = (ClassCombo.sum_of(A) - ClassCombo.sum_of(S)).times(xJ)
-    combop = (ClassCombo.sum_of(Ap) - ClassCombo.sum_of(Sp)).times(xJp)
-    lhs = ray_theta(combo, d, trunc)
-    rhs = ray_theta(combop, d, trunc)
+    lhs, rhs = cross_field_sides(D, Dprime, F, Fprime, J, Jprime, d, trunc, bound)
     params = {
         "D": D,
         "Dprime": Dprime,

@@ -1,8 +1,9 @@
 """Command-line front end: run verification suites, dump series and ray class
 data, search for relations, and manage the skew-set cache.
 
-Exit status: 0 all checks passed, 1 a comparison failed, 2 bad usage or an
-unknown suite, 3 an enumeration bound failure (closure not reached).
+Exit status: 0 all checks passed, 1 a comparison failed, 2 bad usage, bad
+parameters or an unknown suite, 3 a certificate failure: prime ideals up to
+--bound did not generate the certified number of ray classes.
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def cmd_verify(args) -> int:
     except SkewOverlapError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports = [rep for batch in results for rep in batch]
     _emit_reports(reports, as_json)
     if cache_dir:
@@ -248,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suites", nargs="*", help=f"suites: {', '.join(identities.SUITE_NAMES)}")
     p_verify.add_argument("--trunc", type=_fraction_arg, default=None, help="truncation as num/den")
-    p_verify.add_argument("--bound", type=int, default=None, help="ideal enumeration bound override")
+    p_verify.add_argument("--bound", type=int, default=None, help="norm cap on the generator primes of ray class groups")
     p_verify.add_argument("--json", action="store_true", help="machine-readable reports")
     p_verify.add_argument("--cache", default=None, help="directory for skew-set JSON cache")
     p_verify.add_argument("--jobs", type=int, default=None, help="suite worker pool size")

@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
-from .bridge import check_cross_field
-from .qseries import QSeries, eta, theta_gen, v_func
+from .bridge import cross_field_sides
+from .qseries import QSeries, equals_to_order, eta, theta_gen, v_func
 from .quadfield import (
     class_number,
     factorint,
@@ -161,24 +161,19 @@ def verify_relations55(trunc=Fraction(20), bound: Optional[int] = None) -> list[
     out = []
     for name, Fc, Fcp, J, Jp, d, vform in lines:
         started = time.perf_counter()
-        rep = check_cross_field(-2, -1, Fc, Fcp, J, Jp, d, trunc, bound=bound, name="relations55")
-        chi = CharacterPsi(-2, -1)
-        A, S = compute_skew_sets(chi, Fc, bound)
-        xJ = RayClassRef(J, Fc)
-        lhs = ray_theta((ClassCombo.sum_of(A) - ClassCombo.sum_of(S)).times(xJ), d, trunc)
-        vrep = compare_series_report("relations55_vform", {"line": name}, vform, lhs, trunc, started)
-        passed = rep.passed and vrep.passed
-        mismatch = rep.first_mismatch if not rep.passed else vrep.first_mismatch
-        notes = "" if passed else ("cross-field mismatch" if not rep.passed else "V-form mismatch")
+        lhs, rhs = cross_field_sides(-2, -1, Fc, Fcp, J, Jp, d, trunc, bound)
+        cross_ok, cross_mismatch = equals_to_order(lhs, rhs, trunc)
+        v_ok, v_mismatch = equals_to_order(vform, lhs, trunc)
+        passed = cross_ok and v_ok
         out.append(
             VerificationReport(
                 name="relations55",
                 params={"line": name, "d": d},
                 trunc=Fraction(trunc),
                 passed=passed,
-                first_mismatch=mismatch,
+                first_mismatch=cross_mismatch if not cross_ok else v_mismatch,
                 wall_time_ms=(time.perf_counter() - started) * 1000.0,
-                notes=notes,
+                notes="" if passed else ("cross-field mismatch" if not cross_ok else "V-form mismatch"),
             )
         )
     return out
@@ -465,21 +460,12 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
         J = p13.mul(gamma_l.rep)
         gamma_r = crt_class([(p5p, t), (three, 1), (f4p2p, r)])
         Jp = p13p.mul(gamma_r.rep)
-        rep_cross = check_cross_field(
-            -30, -10, Fc, Fcp, J, Jp, d, T, bound=bound, name="sec54_cross"
+        lhs_theta, rhs_theta = cross_field_sides(-30, -10, Fc, Fcp, J, Jp, d, T, bound)
+        out.append(
+            compare_series_report(
+                "sec54_cross", {"s": s, "r": r, "t": t, "d": d}, lhs_theta, rhs_theta, T, started
+            )
         )
-        rep_cross = VerificationReport(
-            name="sec54_cross",
-            params={"s": s, "r": r, "t": t, "d": d},
-            trunc=T,
-            passed=rep_cross.passed,
-            first_mismatch=rep_cross.first_mismatch,
-            wall_time_ms=rep_cross.wall_time_ms,
-        )
-        out.append(rep_cross)
-
-        xJ = RayClassRef(J, Fc)
-        lhs_theta = ray_theta((ClassCombo.sum_of(A) - ClassCombo.sum_of(S)).times(xJ), d, T)
         out.append(
             compare_series_report(
                 "sec54_lhs_reduction",
@@ -491,10 +477,6 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
             )
         )
         started = time.perf_counter()
-        xJp = RayClassRef(Jp, Fcp)
-        rhs_theta = ray_theta(
-            (ClassCombo.sum_of(Ap) - ClassCombo.sum_of(Sp)).times(xJp), d, T
-        )
         vv = V(r, 3) * V(2 * t, 5) + V(-5 * r, 3) * V(32 * t, 5)
         out.append(
             compare_series_report(

@@ -733,8 +733,10 @@ def enumerate_ideals(
 
 
 def class_group_reps(fld: Field) -> list[QIdeal]:
-    """One integral ideal per ideal class, found below the Minkowski bound."""
-    bound = int(2 * abs(fld.disc) ** 0.5 / 3.141592653589793) + 1
+    """One integral ideal per ideal class, the first of each in enumeration
+    order.  Every class holds a reduced form (A, B, C) with |B| <= A <= C,
+    hence an ideal of norm A <= sqrt(|disc| / 3)."""
+    bound = isqrt(abs(fld.disc) // 3) + 1
     reps: list[QIdeal] = []
     for I in enumerate_ideals(fld, bound):
         if not any(is_principal(I.mul(J.conj())) for J in reps):

@@ -1,10 +1,18 @@
 """Ray classes modulo a conductor and their theta series.
 
-The pieces here: equality of ray classes (reduced to a principality test plus
-one congruence), Chinese-remainder component notation for classes of
+The pieces here: the ray class group of a conductor F with an explicit label
+for every class, Chinese-remainder component notation for classes of
 principal ideals, the quadratic character a partner field induces on ray
 classes, the skew class sets it splits into, and theta series summed over the
 integral ideals of a class.
+
+An ideal I prime to F is labelled (j, rho): R_j is the ideal class
+representative (prime to F conj(F)) with I conj(R_j) = (alpha), and rho is
+the smallest residue of u alpha modulo F over the units u.  The label is a
+complete invariant of the ray class, found with one principality test.  The
+group order h phi(F) / [O* : O*_{F,1}] is known in advance (Cohen, Advanced
+Topics in Computational Number Theory, ch. 3-4), so the skew class sets are
+read off the whole group once prime ideals have generated that many classes.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ from .quadfield import (
     QIdeal,
     QuadInt,
     _extgcd,
+    _is_prime,
+    _prime_divides,
+    class_number,
     enumerate_ideals,
     factor_ideal,
     field,
@@ -29,7 +40,7 @@ from .quadfield import (
     split_prime,
     valuation,
 )
-from .qseries import QSeries
+from .qseries import QSeries, _fraction
 
 
 class NotCoprimeError(ValueError):
@@ -37,7 +48,8 @@ class NotCoprimeError(ValueError):
 
 
 class ClosureError(RuntimeError):
-    """Skew-class enumeration did not close at the bound; increase the bound."""
+    """Prime ideals up to the bound did not generate the certified number of
+    ray classes; increase the bound."""
 
 
 class SkewOverlapError(ValueError):
@@ -52,7 +64,7 @@ class SkewOverlapError(ValueError):
 class Conductor:
     """An integral nonzero ideal used as the modulus for ray classes."""
 
-    __slots__ = ("ideal", "factors", "self_conjugate")
+    __slots__ = ("ideal", "factors", "self_conjugate", "_group")
 
     def __init__(self, ideal: QIdeal) -> None:
         if not ideal.is_integral:
@@ -60,10 +72,18 @@ class Conductor:
         self.ideal = ideal
         self.factors = factor_ideal(ideal)
         self.self_conjugate = ideal.conj() == ideal
+        self._group: Optional[RayClassGroup] = None
 
     @property
     def field(self) -> Field:
         return self.ideal.field
+
+    @property
+    def group(self) -> "RayClassGroup":
+        """The ray class group modulo this conductor, built on first use."""
+        if self._group is None:
+            self._group = RayClassGroup(self)
+        return self._group
 
     @property
     def primes(self) -> list[QIdeal]:
@@ -99,10 +119,7 @@ def conductor_of(g: Union[QuadInt, QIdeal, int], fld: Optional[Field] = None) ->
     return Conductor(principal_ideal(g))
 
 
-# -- ray class equality ----------------------------------------------------------
-
-
-_SAME_CACHE: dict[tuple, bool] = {}
+# -- ray class groups and class labels ------------------------------------------
 
 
 def _coprime_to_conductor(I: QIdeal, F: Conductor) -> bool:
@@ -126,63 +143,196 @@ def in_k1f(lam: QuadInt, mu: QuadInt, F: Conductor) -> bool:
     return (lam - mu) in F.ideal.mul(H)
 
 
-def _same_ray_class_raw(I: QIdeal, J: QIdeal, F: Conductor) -> bool:
-    key = (F.key, I.key, J.key)
-    hit = _SAME_CACHE.get(key)
-    if hit is not None:
-        return hit
-    fld = F.field
-    LI = QIdeal(fld, 1, I.a, I.b, I.c)
-    LJ = QIdeal(fld, 1, J.a, J.b, J.c)
-    # I J^{-1} = Mnum / n with Mnum integral and n a positive integer
-    Mnum = LI.mul(LJ.conj()).scaled(J.q)
-    n = I.q * LJ.a * LJ.c
-    gen = is_principal(Mnum)
-    if gen is None:
-        out = False
-    else:
-        delta = gen[0]
-        nelt = fld.elem(n)
-        H = principal_ideal(delta).add(principal_ideal(nelt))
-        FH = F.ideal.mul(H)
-        out = any(((u * delta) - nelt) in FH for u in fld.units)
-    _SAME_CACHE[key] = out
-    _SAME_CACHE[(F.key, J.key, I.key)] = out
-    return out
+def _reduced_form(I: QIdeal) -> tuple[int, int, int]:
+    """The reduced form (A, B, C) of I's ideal class.
+
+    The form is N(x a + y (b + c w)) / N(L) on the oriented HNF basis of the
+    integral lattice L = q I, reduced so that |B| <= A <= C, with B >= 0 when
+    A = C.  Two ideals have the same reduced form exactly when they lie in
+    the same ideal class.
+    """
+    fld, n = I.field, I.a * I.c
+    A, C = I.a * I.a // n, fld.norm_xy(I.b, I.c) // n
+    B = fld.norm_xy(I.a + I.b, I.c) // n - A - C
+    while True:
+        r = (A - B) // (2 * A)
+        B, C = B + 2 * r * A, A * r * r + B * r + C
+        if A <= C:
+            return (A, -B, C) if A == C and B < 0 else (A, B, C)
+        A, B, C = C, -B, A
+
+
+def _ideals_prime_to(fld: Field, M: QIdeal):
+    """Integral ideals prime to M in (norm, HNF) order, without end."""
+    done, bound = 0, 64
+    while True:
+        for I in enumerate_ideals(fld, bound, coprime_to=M):
+            if I.a * I.c > done:
+                yield I
+        done, bound = bound, 4 * bound
+
+
+class RayClassGroup:
+    """The ray class group modulo a conductor F, with a label for every class.
+
+    R_0 = O, R_1, ..., R_{h-1} represent the ideal classes and are prime to
+    F conj(F).  An ideal I prime to F has the label (j, rho): [I] = [R_j],
+    found from I's reduced form, I conj(R_j) = (alpha), and rho is the
+    smallest residue of u alpha modulo F over the units u.  Two ideals share
+    a label exactly when they share a ray class.  Labels multiply through the
+    class-group table R_i R_j conj(R_k) = (t).  The group order
+    h phi(F) / [O* : O*_{F,1}] is known in advance, so a list of classes that
+    reaches it is certified complete.
+    """
+
+    def __init__(self, F: Conductor) -> None:
+        fld = self.field = F.field
+        self.conductor = F
+        self._abc = F.ideal.a, F.ideal.b, F.ideal.c
+        h = class_number(fld)
+        self._index: dict[tuple, int] = {}
+        reps: list[QIdeal] = []
+        for I in _ideals_prime_to(fld, F.ideal.mul(F.ideal.conj())):
+            if self._index.setdefault(_reduced_form(I), len(reps)) == len(reps):
+                reps.append(I)
+                if len(reps) == h:
+                    break
+        self._conj = [R.conj() for R in reps]
+        self.phi = 1
+        for P, e in F.factors.items():
+            n = int(P.norm())
+            self.phi *= n ** (e - 1) * (n - 1)
+        self.order = h * self.phi * units_mod_conductor(F)[1] // len(fld.units)
+        self._table: dict[tuple, tuple] = {}
+        for i in range(h):
+            for j in range(h):
+                P = reps[i].mul(reps[j])
+                k = self._index[_reduced_form(P)]
+                t = is_principal(P.mul(self._conj[k]))[0].conj()
+                nk = self._reduce(int(reps[k].norm()), 0)
+                self._table[i, j] = k, self._mul_res(nk, self._inv_res(self._reduce(t.x, t.y)))
+        self.one = 0, self._canon(self._reduce(1, 0))
+        self._first: dict[tuple, QIdeal] = {}
+        self._scan = _ideals_prime_to(fld, F.ideal)
+
+    # residues modulo F, as reduced coordinates (x mod a, y mod c)
+    def _reduce(self, x: int, y: int) -> tuple[int, int]:
+        a, b, c = self._abc
+        k, y = divmod(y, c)
+        return (x - k * b) % a, y
+
+    def _mul_res(self, r: tuple, s: tuple) -> tuple[int, int]:
+        return self._reduce(*self.field.mul_xy(r[0], r[1], s[0], s[1]))
+
+    def _inv_res(self, r: tuple) -> tuple[int, int]:
+        out, e = self._reduce(1, 0), self.phi - 1
+        while e:
+            if e & 1:
+                out = self._mul_res(out, r)
+            r, e = self._mul_res(r, r), e >> 1
+        return out
+
+    def _canon(self, r: tuple) -> tuple[int, int]:
+        return min(self._mul_res((u.x, u.y), r) for u in self.field.units)
+
+    def label(self, I: QIdeal) -> tuple:
+        """The label of the ray class of an ideal prime to F."""
+        if not I.is_integral:
+            if gcd(I.q, self._abc[0]) == 1:
+                j, rho = self.label(QIdeal(self.field, 1, I.a, I.b, I.c))
+                return j, self._canon(self._mul_res(rho, (pow(I.q, -1, self._abc[0]), 0)))
+            # the denominator meets F: write I = N1 / N2 with N1, N2 integral
+            N2 = I.add(self.field.maximal_order).inverse()
+            return self.mul(self.label(I.mul(N2)), self.inv(self.label(N2)))
+        j = self._index[_reduced_form(I)]
+        alpha = is_principal(I.mul(self._conj[j]))[0]
+        return j, self._canon(self._reduce(alpha.x, alpha.y))
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        k, t = self._table[x[0], y[0]]
+        return k, self._canon(self._mul_res(self._mul_res(x[1], y[1]), t))
+
+    def inv(self, x: tuple) -> tuple:
+        j = next(j for (i, j), (k, _) in self._table.items() if i == x[0] and k == 0)
+        return j, self._canon(self._inv_res(self._mul_res(x[1], self._table[x[0], j][1])))
+
+    def primes(self, bad: int = 1, bound: Optional[int] = None):
+        """Degree-one prime ideals prime to F, of prime norm p <= bound (no
+        cap when bound is None) with p not dividing bad."""
+        p = 1
+        while bound is None or p < bound:
+            p += 1
+            if bad % p and _is_prime(p):
+                for P in split_prime(self.field, p).primes_above():
+                    if not _prime_divides(P, self.conductor.ideal):
+                        yield P
+
+    def span(self, gens: Iterable[tuple], one_data, mul_data) -> dict:
+        """Every class, each with data carried multiplicatively from the
+        generators.  gens yields (label, data) pairs; it is read until the
+        classes found reach the certified order, and ClosureError is raised
+        if it ends first."""
+        elems = {self.one: one_data}
+        gens = iter(gens)
+        while len(elems) < self.order:
+            g, gd = next(gens, (None, None))
+            if g is None:
+                raise ClosureError(
+                    f"generator primes reached {len(elems)} of the {self.order} ray classes; increase the bound"
+                )
+            x, xd = g, gd
+            base = list(elems.items())
+            while x not in elems:
+                for y, yd in base:
+                    elems[self.mul(y, x)] = mul_data(yd, xd)
+                x, xd = self.mul(x, g), mul_data(xd, gd)
+        return elems
+
+    def canonical(self, x: tuple) -> QIdeal:
+        """Smallest-norm integral ideal of the class x, ties broken by HNF order."""
+        while x not in self._first:
+            if len(self._first) == self.order:
+                raise NotCoprimeError("not the label of a ray class prime to the conductor")
+            I = next(self._scan)
+            self._first.setdefault(self.label(I), I)
+        return self._first[x]
 
 
 def same_ray_class(I: QIdeal, J: QIdeal, F: Conductor) -> bool:
     """[I]_F == [J]_F.  Both ideals must be prime to F."""
     if not (_coprime_to_conductor(I, F) and _coprime_to_conductor(J, F)):
         raise NotCoprimeError("ideals must be prime to the conductor")
-    return _same_ray_class_raw(I, J, F)
+    return F.group.label(I) == F.group.label(J)
 
 
 # -- ray class references ---------------------------------------------------------
 
 
-_CANONICAL_CACHE: dict[tuple, QIdeal] = {}
-
-
 class RayClassRef:
     """A ray class held as a representative ideal plus its conductor."""
 
-    __slots__ = ("rep", "conductor", "_canonical")
+    __slots__ = ("rep", "conductor", "_label")
 
-    def __init__(self, rep: QIdeal, conductor: Conductor, check: bool = True) -> None:
+    def __init__(
+        self, rep: QIdeal, conductor: Conductor, check: bool = True, label: Optional[tuple] = None
+    ) -> None:
         if check and not _coprime_to_conductor(rep, conductor):
             raise NotCoprimeError("representative is not prime to the conductor")
         self.rep = rep
         self.conductor = conductor
-        self._canonical: Optional[QIdeal] = None
+        self._label = label
+
+    @property
+    def label(self) -> tuple:
+        if self._label is None:
+            self._label = self.conductor.group.label(self.rep)
+        return self._label
 
     def same_class(self, other: "RayClassRef") -> bool:
-        if self.conductor != other.conductor:
-            return False
-        return _same_ray_class_raw(self.rep, other.rep, self.conductor)
+        return self.conductor == other.conductor and self.label == other.label
 
     def contains_ideal(self, I: QIdeal) -> bool:
-        return _same_ray_class_raw(I, self.rep, self.conductor)
+        return self.conductor.group.label(I) == self.label
 
     def __mul__(self, other: "RayClassRef") -> "RayClassRef":
         if self.conductor != other.conductor:
@@ -194,21 +344,7 @@ class RayClassRef:
 
     def canonical_rep(self) -> QIdeal:
         """Smallest-norm integral ideal in the class, ties broken by HNF order."""
-        if self._canonical is None:
-            key = (self.conductor.key, self.rep.key)
-            hit = _CANONICAL_CACHE.get(key)
-            if hit is None:
-                F = self.conductor
-                bound = 8
-                while hit is None:
-                    for I in enumerate_ideals(F.field, bound, coprime_to=F.ideal):
-                        if _same_ray_class_raw(I, self.rep, F):
-                            hit = I
-                            break
-                    bound *= 2
-                _CANONICAL_CACHE[key] = hit
-            self._canonical = hit
-        return self._canonical
+        return self.conductor.group.canonical(self.label)
 
     def canonical_key(self) -> tuple:
         I = self.canonical_rep()
@@ -217,10 +353,10 @@ class RayClassRef:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RayClassRef):
             return NotImplemented
-        return self.conductor == other.conductor and self.canonical_key() == other.canonical_key()
+        return self.same_class(other)
 
     def __hash__(self) -> int:
-        return hash((self.conductor.key, self.canonical_key()))
+        return hash((self.conductor.key, self.label))
 
     def __repr__(self) -> str:
         return f"[{self.rep!r}]_{self.conductor.ideal!r}"
@@ -248,32 +384,12 @@ def units_mod_conductor(F: Conductor) -> tuple[list[QuadInt], int]:
     return us, len(us)
 
 
-def unit_residues_mod(Q: QIdeal) -> list[QuadInt]:
-    """The invertible residues of the quotient ring by an integral ideal Q.
-
-    Residues run over the transversal {x + y w : 0 <= x < a, 0 <= y < c} of
-    Q's HNF lattice; invertibility is the hcf test against Q.
-    """
-    if not Q.is_integral:
-        raise ValueError("need an integral ideal")
-    fld = Q.field
-    out = []
-    for y in range(Q.c):
-        for x in range(Q.a):
-            g = fld.elem(x, y)
-            if g.is_zero():
-                continue
-            if ideal_from_gens([g]).add(Q).is_maximal_order():
-                out.append(g)
-    return out
-
-
 def lift_classes(xs: Sequence["RayClassRef"], big: Conductor) -> list["RayClassRef"]:
     """Inverse image of a set of classes under reduction from a bigger conductor.
 
-    big must factor as Q * F with Q coprime to F (the conductor of xs); the
-    kernel of the reduction is the set of classes with component 1 at F and
-    any invertible component at Q, and each class lifts to its kernel coset.
+    big must factor as Q * F with Q coprime to F (the conductor of xs).  The
+    classes modulo big are generated from prime ideals up to the certified
+    order, and those whose representatives reduce into xs are kept.
     """
     if not xs:
         raise ValueError("nothing to lift")
@@ -285,34 +401,10 @@ def lift_classes(xs: Sequence["RayClassRef"], big: Conductor) -> list["RayClassR
         return list(xs)
     if not Q.is_coprime(F.ideal):
         raise ValueError("the conductor extension must be coprime to the base")
-    kernel: list[RayClassRef] = []
-    for r in unit_residues_mod(Q):
-        k = crt_class([(Q, r), (F.ideal, F.field.one)], Conductor(big.ideal))
-        if not any(k.same_class(x) for x in kernel):
-            kernel.append(k)
-    out: list[RayClassRef] = []
-    for x in xs:
-        lifted = _coprime_lift(x, big)
-        for k in kernel:
-            cand = k * lifted
-            if not any(cand.same_class(o) for o in out):
-                out.append(cand)
-    return out
-
-
-def _coprime_lift(x: "RayClassRef", big: Conductor) -> "RayClassRef":
-    """The class of x's representative at the bigger conductor, switching to
-    an equivalent representative when the original meets the new primes."""
-    try:
-        return RayClassRef(x.rep, big)
-    except NotCoprimeError:
-        pass
-    bound = 8
-    while True:
-        for I in enumerate_ideals(big.field, bound, coprime_to=big.ideal):
-            if _same_ray_class_raw(I, x.rep, x.conductor):
-                return RayClassRef(I, big)
-        bound *= 2
+    G = big.group
+    want = {x.label for x in xs}
+    elems = G.span(((G.label(P), P) for P in G.primes()), big.field.maximal_order, QIdeal.mul)
+    return [RayClassRef(I, big, check=False, label=x) for x, I in elems.items() if F.group.label(I) in want]
 
 
 # -- Chinese remainder classes -----------------------------------------------------
@@ -505,127 +597,16 @@ def admissible(chi: CharacterPsi, F: Conductor, chip: CharacterPsi, Fp: Conducto
 _AS_CACHE: dict[tuple, tuple] = {}
 
 
-def _skew_sets_at_bound(
-    chi: CharacterPsi, F: Conductor, bound: int
-) -> tuple[list[RayClassRef], list[RayClassRef]]:
-    fld = chi.field
-    bad = 2 * abs(chi.D) * abs(chi.Dprime)
-
-    reps: list[QIdeal] = [fld.maximal_order]
-    table: dict[tuple[int, int], int] = {}
-
-    def class_of(rep: QIdeal) -> int:
-        for k, known in enumerate(reps):
-            if _same_ray_class_raw(rep, known, F):
-                return k
-        reps.append(rep)
-        return len(reps) - 1
-
-    def tmul(i: int, j: int) -> int:
-        if i == 0:
-            return j
-        if j == 0:
-            return i
-        key = (min(i, j), max(i, j))
-        hit = table.get(key)
-        if hit is None:
-            hit = class_of(reps[i].mul(reps[j]))
-            table[key] = hit
-        return hit
-
-    # multiplicative sweep over primes: track (norm, psi value, skew class)
-    items: list[tuple[int, int, int]] = [(1, 1, 0)]
-    from .quadfield import primes_upto, _prime_divides
-
-    for p in primes_upto(bound):
-        if bad % p == 0:
-            continue
-        rec = split_prime(fld, p)
-        powers: list[tuple[int, int, int]] = []
-        if rec.kind == "inert":
-            n = p * p
-            while n <= bound:
-                powers.append((n, 1, 0))
-                n *= p * p
-        else:
-            assert rec.kind == "split"
-            P, Pb = rec.prime, rec.conj
-            okP = not _prime_divides(P, F.ideal)
-            okPb = not _prime_divides(Pb, F.ideal)
-            if not (okP or okPb):
-                continue
-            sv = legendre(chi.Dprime, p)
-            cP = class_of(P.mul(Pb.inverse())) if okP else 0
-            cPb = class_of(Pb.mul(P.inverse())) if okPb else 0
-            emax, n = 0, p
-            while n <= bound:
-                emax += 1
-                n *= p
-            ci = 0
-            for i in range(0, emax + 1):
-                if i and not okP:
-                    break
-                if i:
-                    ci = tmul(ci, cP)
-                cij = ci
-                for j in range(0, emax + 1 - i):
-                    if j and not okPb:
-                        break
-                    if j:
-                        cij = tmul(cij, cPb)
-                    if i or j:
-                        powers.append((p ** (i + j), sv ** (i + j), cij))
-        if not powers:
-            continue
-        items += [
-            (n * np, s * sp, tmul(c, cp))
-            for n, s, c in items
-            for np, sp, cp in powers
-            if n * np <= bound
-        ]
-
-    a_idx = {c for _, s, c in items if s == 1}
-    s_idx = {c for _, s, c in items if s == -1}
-    overlap = a_idx & s_idx
-    if overlap:
-        raise SkewOverlapError(
-            "skew sets overlap at this conductor (witnessed by ideals of "
-            f"norm <= {bound}); a conjugation-symmetric class has character "
-            "value -1, so the subgroup equals its coset"
-        )
-
-    def closed() -> bool:
-        if len(a_idx) != len(s_idx):
-            return False
-        for i in a_idx:
-            if any(tmul(i, j) not in a_idx for j in a_idx):
-                return False
-            if any(tmul(i, j) not in s_idx for j in s_idx):
-                return False
-        s0 = next(iter(s_idx), None)
-        if s0 is not None and {tmul(s0, i) for i in a_idx} != s_idx:
-            return False
-        return True
-
-    if not closed():
-        raise ClosureError(
-            f"skew classes did not close at enumeration bound {bound}; increase bound"
-        )
-    A = sorted((RayClassRef(reps[i], F, check=False) for i in a_idx), key=RayClassRef.canonical_key)
-    S = sorted((RayClassRef(reps[i], F, check=False) for i in s_idx), key=RayClassRef.canonical_key)
-    return A, S
-
-
 def compute_skew_sets(
     chi: CharacterPsi, F: Conductor, bound: Optional[int] = None
 ) -> tuple[list[RayClassRef], list[RayClassRef]]:
     """The subgroup A of skew classes with character +1 and its coset S.
 
-    Integral ideals prime to F with norm up to the bound are swept
-    multiplicatively; each contributes the class of I/conj(I) to A or S
-    according to its character value.  Group closure of the result is
-    verified; on failure the bound is doubled a few times before giving up
-    with ClosureError (never a silent partial answer).
+    The ray class group modulo F is generated from prime ideals P of norm
+    p not dividing 2 D D' (p <= bound when a bound is given) until its
+    certified order is reached; A and S are the images of x -> x / conj(x)
+    on the classes x with psi(x) = +1 and -1.  If the generator primes run
+    out first, ClosureError is raised (never a partial answer).
     """
     if not F.self_conjugate:
         raise ValueError("the conductor must be self-conjugate")
@@ -635,21 +616,23 @@ def compute_skew_sets(
     hit = _AS_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    if bound is not None:
-        out = _skew_sets_at_bound(chi, F, bound)
-    else:
-        b = 30 * F.norm()
-        last: Optional[ClosureError] = None
-        out = None
-        for _ in range(4):
-            try:
-                out = _skew_sets_at_bound(chi, F, b)
-                break
-            except ClosureError as exc:
-                last = exc
-                b *= 2
-        if out is None:
-            raise last  # type: ignore[misc]
+    G = F.group
+    gens = (
+        (G.label(P), (G.label(P.mul(P.conj().inverse())), chi.value(P)))
+        for P in G.primes(2 * chi.D * chi.Dprime, bound)
+    )
+    elems = G.span(gens, (G.one, 1), lambda x, y: (G.mul(x[0], y[0]), x[1] * y[1]))
+    a_idx = {skew for skew, v in elems.values() if v == 1}
+    s_idx = {skew for skew, v in elems.values() if v == -1}
+    if a_idx & s_idx:
+        raise SkewOverlapError(
+            "skew sets overlap at this conductor: a conjugation-symmetric class "
+            "has character value -1, so the subgroup equals its coset"
+        )
+    out = tuple(
+        sorted((RayClassRef(G.canonical(x), F, check=False, label=x) for x in idx), key=RayClassRef.canonical_key)
+        for idx in (a_idx, s_idx)
+    )
     _AS_CACHE[cache_key] = out
     return out
 
@@ -725,21 +708,19 @@ def _as_combo(W: ComboLike) -> ClassCombo:
 def ray_theta(W: ComboLike, d, trunc) -> QSeries:
     """Theta series sum_x n_x sum_{I in x integral, N(I) <= d*trunc} q^(N(I)/d)."""
     combo = _as_combo(W)
-    d = Fraction(d)
-    T = Fraction(trunc)
+    d = _fraction(d)
+    T = _fraction(trunc)
     if d <= 0:
         raise ValueError("scale must be positive")
     F = combo.conductor
-    fld = F.field
+    G = F.group
+    coeffs: dict[tuple, int] = {}
+    for c, x in combo.terms:
+        coeffs[x.label] = coeffs.get(x.label, 0) + c
     cap = d * T
-    bound = cap.numerator // cap.denominator
     terms: dict[Fraction, int] = {}
-    pairs = [(c, x.rep) for c, x in combo.terms]
-    for I in enumerate_ideals(fld, bound, coprime_to=F.ideal):
-        total = 0
-        for c, rep in pairs:
-            if _same_ray_class_raw(I, rep, F):
-                total += c
+    for I in enumerate_ideals(F.field, cap.numerator // cap.denominator, coprime_to=F.ideal):
+        total = coeffs.get(G.label(I))
         if total:
             e = int(I.norm()) / d
             terms[e] = terms.get(e, 0) + total

@@ -256,3 +256,11 @@ def test_exit_one_on_failure(capsys, monkeypatch):
     rc = main(["verify", "id1"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_bad_family_parameter_exit_two(capsys):
+    # a = 7 is not 1 mod 4: bad usage, not a failed comparison
+    assert main(["verify", "thm51", "--a", "7"]) == 2
+    captured = capsys.readouterr()
+    assert "1 mod 4" in captured.err
+    assert captured.out == ""

@@ -7,6 +7,7 @@ import pytest
 
 from raytheta.quadfield import (
     QIdeal,
+    class_group_reps,
     class_number,
     enumerate_ideals,
     factor_ideal,
@@ -363,4 +364,21 @@ def test_enumerate_cache_slicing():
     [(-1, 1), (-2, 1), (-3, 1), (-7, 1), (-5, 2), (-10, 2), (-15, 2), (-30, 4), (-23, 3)],
 )
 def test_class_numbers(D, h):
+    assert class_number(field(D)) == h
+
+
+def test_class_group_reps_exact_bound_loses_no_class():
+    # the integer bound isqrt(|disc| / 3) + 1 must keep every class: the reps
+    # equal the first ideal of each class among all ideals of norm <= |disc|
+    for D in (-1, -2, -3, -5, -6, -10, -14, -21, -23, -30, -47, -71, -89, -105, -163):
+        k = field(D)
+        brute = []
+        for I in enumerate_ideals(k, abs(k.disc)):
+            if not any(is_principal(I.mul(J.conj())) for J in brute):
+                brute.append(I)
+        assert class_group_reps(k) == brute
+
+
+@pytest.mark.parametrize("D,h", [(-47, 5), (-71, 7), (-89, 12), (-105, 8), (-163, 1)])
+def test_class_numbers_larger_discriminants(D, h):
     assert class_number(field(D)) == h

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from raytheta.identities import _sqrt10_data, _sqrt30_data
 from raytheta.quadfield import (
+    QIdeal,
     class_group_reps,
     enumerate_ideals,
     field,
     ideal_from_gens,
+    is_principal,
     principal_ideal,
     split_prime,
 )
@@ -137,6 +140,103 @@ def test_same_class_is_equivalence_and_multiplicative():
         # compatibility with multiplication
         if same_ray_class(I, J, Fc):
             assert same_ray_class(I.mul(L), J.mul(L), Fc)
+
+
+# -- class labels against the pairwise oracle -----------------------------------------
+
+
+def _same_class_oracle(I, J, Fc):
+    """The pairwise test labels replace: I J^-1 = (delta / n) is principal and
+    u delta = n modulo F hcf(delta, n) for some unit u."""
+    fld = Fc.field
+    LI = QIdeal(fld, 1, I.a, I.b, I.c)
+    LJ = QIdeal(fld, 1, J.a, J.b, J.c)
+    gen = is_principal(LI.mul(LJ.conj()).scaled(J.q))
+    if gen is None:
+        return False
+    delta, n = gen[0], fld.elem(I.q * LJ.a * LJ.c)
+    FH = Fc.ideal.mul(principal_ideal(delta).add(principal_ideal(n)))
+    return any((u * delta - n) in FH for u in fld.units)
+
+
+def _label_conductors():
+    p3 = split_prime(K2, 3).prime
+    return [
+        _sqrt30_data()[1],
+        _sqrt10_data()[1],
+        f4p2(),
+        conductor_of(K2.elem(4)),
+        f8(),
+        Conductor(principal_ideal(K1.elem(4)).mul(split_prime(K1, 2).prime)),
+        Conductor(p3.mul(f4p2().ideal)),  # not self-conjugate
+        # six units; classes of Q[sqrt(-21)] include the form 5x^2 + 4xy + 5y^2
+        conductor_of(field(-3).elem(4)),
+        conductor_of(field(-21).elem(2)),
+    ]
+
+
+@pytest.mark.parametrize("idx", range(9))
+def test_labels_agree_with_pairwise_oracle(idx):
+    Fc = _label_conductors()[idx]
+    G = Fc.group
+    ideals = enumerate_ideals(Fc.field, 400, coprime_to=Fc.ideal)[:45]
+    # fractional ideals too, including ones whose denominator meets F when F
+    # is not self-conjugate (1/conj(P3) = P3/3 at F = P3*4P2)
+    ideals += [I.mul(J.inverse()) for I, J in zip(ideals[1:6], ideals[6:11])]
+    ideals += [I.inverse() for I in ideals[1:6]]
+    # I (1 + a w) with F meeting Z in aZ lies in the class of I
+    ideals += [I.mul_element(Fc.field.elem(1, Fc.ideal.a)) for I in ideals[1:11]]
+    if not Fc.self_conjugate:
+        ideals.append(split_prime(K2, 3).conj.inverse())
+    labels = [G.label(I) for I in ideals]
+    for I, x in zip(ideals, labels):
+        for J, y in zip(ideals, labels):
+            assert (x == y) == _same_class_oracle(I, J, Fc), (I, J)
+
+
+def test_label_count_equals_certified_order():
+    for data, order in ((_sqrt30_data(), 256), (_sqrt10_data(), 512)):
+        Fc = data[1]
+        G = Fc.group
+        assert G.order == order
+        classes = G.span(((G.label(P), None) for P in G.primes()), None, lambda x, y: None)
+        assert len(classes) == order
+        seen = {G.label(I) for I in enumerate_ideals(Fc.field, 960, coprime_to=Fc.ideal)}
+        assert seen < set(classes)
+
+
+def test_label_multiplication_matches_ideal_products():
+    rng = random.Random(5)
+    for Fc in _label_conductors():
+        G = Fc.group
+        ideals = enumerate_ideals(Fc.field, 200, coprime_to=Fc.ideal)
+        for _ in range(40):
+            I, J = rng.choice(ideals), rng.choice(ideals)
+            assert G.mul(G.label(I), G.label(J)) == G.label(I.mul(J))
+            assert G.mul(G.label(I), G.inv(G.label(I))) == G.one
+
+
+# skew sets found by the earlier norm-bounded product sweep; the group
+# construction must reproduce them exactly
+SEC54_SKEW_KEYS = {
+    (-30, -10): (
+        [[1, 0, 1], [241, 115, 1], [481, 231, 1], [31, 0, 31]],
+        [[961, 466, 1], [41, 0, 41], [49, 0, 49], [3601, 1771, 1]],
+    ),
+    (-10, -30): (
+        [[1, 0, 1], [241, 58, 1], [241, 183, 1], [481, 82, 1], [481, 230, 1], [481, 251, 1],
+         [1201, 205, 1], [41, 0, 41]],
+        [[721, 117, 1], [31, 0, 31], [1681, 430, 1], [1681, 1251, 1], [49, 0, 49],
+         [2641, 1295, 1], [2641, 1346, 1], [3841, 650, 1]],
+    ),
+}
+
+
+def test_sec54_skew_set_keys_unchanged():
+    for (D, Dp), data in (((-30, -10), _sqrt30_data()), ((-10, -30), _sqrt10_data())):
+        A, S = compute_skew_sets(CharacterPsi(D, Dp), data[1])
+        got = ([list(x.canonical_key()[1:]) for x in A], [list(x.canonical_key()[1:]) for x in S])
+        assert got == SEC54_SKEW_KEYS[D, Dp]
 
 
 def test_canonical_key_stable_across_representatives():
@@ -319,6 +419,12 @@ def test_skew_sets_closure_failure_reported():
         compute_skew_sets(chi, f4p2(), bound=2)
 
 
+def test_skew_sets_bound_caps_generator_primes():
+    chi = CharacterPsi(-2, -1)
+    A, S = compute_skew_sets(chi, f4p2())
+    assert compute_skew_sets(chi, f4p2(), bound=100) == (A, S)
+
+
 def test_skew_sets_overlap_detected_for_unusable_pair():
     # over Q[sqrt(-6)] with partner -2, some conjugation-symmetric class
     # carries character -1 at every small self-conjugate conductor, so the
@@ -381,19 +487,28 @@ def test_ray_theta_partition_law():
         assert ok, mismatch
 
 
+def test_ray_theta_rejects_floats():
+    x = ray_class(1, f4p2())
+    with pytest.raises(TypeError):
+        ray_theta(x, 16.0, 2.5)
+    with pytest.raises(TypeError):
+        ray_theta(x, 16, 2.5)
+    with pytest.raises(TypeError):
+        ray_theta(x, 16.0, 2)
+
+
 def test_ray_theta_rejects_mixed_conductors():
     with pytest.raises(ValueError):
         ClassCombo([(1, ray_class(1, f8())), (1, ray_class(1, conductor_of(K1.elem(4))))])
 
 
 def test_unit_residues_counts():
-    from raytheta.rayclass import unit_residues_mod
-
+    # phi(Q) counts the invertible residues modulo Q
     p3 = split_prime(K2, 3).prime
-    assert len(unit_residues_mod(p3)) == 2
+    assert Conductor(p3).group.phi == 2
     three_inert = principal_ideal(field(-10).elem(3))
-    assert len(unit_residues_mod(three_inert)) == 8
-    assert len(unit_residues_mod(f4p2().ideal)) == 16
+    assert Conductor(three_inert).group.phi == 8
+    assert f4p2().group.phi == 16
 
 
 def test_lift_classes_inverse_image():
