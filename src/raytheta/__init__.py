@@ -7,7 +7,9 @@ from .qseries import (
     divide_by_unit,
     equals_to_order,
     eta,
+    series_sum,
     theta_gen,
+    theta_lincomb,
     v_func,
     virasoro_char,
 )

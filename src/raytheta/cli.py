@@ -1,5 +1,5 @@
 """Command-line front end: run verification suites, dump series and ray class
-data, search for relations, and manage the skew-set cache.
+data, and search for relations.
 
 Exit status: 0 all checks passed, 1 a comparison failed, 2 bad usage, bad
 parameters or an unknown suite, 3 a certificate failure: prime ideals up to
@@ -25,45 +25,10 @@ from .rayclass import (
     ClosureError,
     Conductor,
     SkewOverlapError,
-    _AS_CACHE,
     compute_skew_sets,
     ray_theta,
-    skew_sets_from_json,
     skew_sets_to_json,
 )
-
-
-def _cache_path(cache_dir: str, D: int, Dp: int, F: Conductor) -> Path:
-    a, b, c = F.ideal.key[1:]
-    return Path(cache_dir) / f"AS_D{D}_Dp{Dp}_F{a}_{b}_{c}.json"
-
-
-def _preload_cache(cache_dir: str) -> int:
-    n = 0
-    for path in sorted(Path(cache_dir).glob("AS_*.json")):
-        try:
-            blob = json.loads(path.read_text())
-            chi, F, A, S = skew_sets_from_json(blob)
-        except (ValueError, KeyError):
-            continue
-        _AS_CACHE[(chi.D, chi.Dprime, F.key, None)] = (A, S)
-        n += 1
-    return n
-
-
-def _writeback_cache(cache_dir: str, only_keys=None) -> int:
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    n = 0
-    for (D, Dp, fkey, bound), (A, S) in list(_AS_CACHE.items()):
-        if only_keys is not None and (D, Dp, fkey, bound) not in only_keys:
-            continue
-        F = A[0].conductor if A else S[0].conductor
-        path = _cache_path(cache_dir, D, Dp, F)
-        if not path.exists():
-            blob = skew_sets_to_json(CharacterPsi(D, Dp), F, A, S, bound)
-            path.write_text(json.dumps(blob, sort_keys=True, indent=1) + "\n")
-            n += 1
-    return n
 
 
 def _read_config(path: Optional[str]) -> dict[str, str]:
@@ -96,7 +61,6 @@ def cmd_verify(args) -> int:
         int(cfg["bound"]) if "bound" in cfg else None
     )
     jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", "1"))
-    cache_dir = args.cache or cfg.get("cache")
     as_json = args.json or cfg.get("json", "").lower() in ("1", "true", "yes")
 
     suites = args.suites or ["id1", "id2", "relations55", "thm51", "consolidate", "pell"]
@@ -105,8 +69,6 @@ def cmd_verify(args) -> int:
         print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(identities.SUITE_NAMES)}", file=sys.stderr)
         return 2
-    if cache_dir:
-        _preload_cache(cache_dir)
 
     def run(name: str):
         return identities.run_suite(
@@ -137,8 +99,6 @@ def cmd_verify(args) -> int:
         return 2
     reports = [rep for batch in results for rep in batch]
     _emit_reports(reports, as_json)
-    if cache_dir:
-        _writeback_cache(cache_dir)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -184,8 +144,6 @@ def _dump_rayclass(args) -> int:
         print("skew-set dump needs --Dp as well", file=sys.stderr)
         return 2
     chi = CharacterPsi(args.D, args.Dp)
-    if args.cache:
-        _preload_cache(args.cache)
     try:
         A, S = compute_skew_sets(chi, F, args.bound)
     except ClosureError as exc:
@@ -195,8 +153,6 @@ def _dump_rayclass(args) -> int:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2
     blob = skew_sets_to_json(chi, F, A, S, args.bound)
-    if args.cache:
-        _writeback_cache(args.cache, only_keys={(args.D, args.Dp, F.key, args.bound)})
     print(json.dumps(blob, sort_keys=True))
     return 0
 
@@ -212,18 +168,6 @@ def cmd_search(args) -> int:
         cfg = replace(cfg, max_coeff=args.max_coeff)
     rels = identities.search_relations(cfg)
     print(json.dumps(rels, sort_keys=True, indent=1))
-    return 0
-
-
-def cmd_cache(args) -> int:
-    path = Path(args.cache)
-    files = sorted(path.glob("AS_*.json")) if path.exists() else []
-    if args.action == "stats":
-        print(json.dumps({"dir": str(path), "entries": len(files), "files": [f.name for f in files]}, sort_keys=True))
-        return 0
-    for f in files:
-        f.unlink()
-    print(json.dumps({"dir": str(path), "cleared": len(files)}, sort_keys=True))
     return 0
 
 
@@ -254,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trunc", type=_fraction_arg, default=None, help="truncation as num/den")
     p_verify.add_argument("--bound", type=int, default=None, help="norm cap on the generator primes of ray class groups")
     p_verify.add_argument("--json", action="store_true", help="machine-readable reports")
-    p_verify.add_argument("--cache", default=None, help="directory for skew-set JSON cache")
     p_verify.add_argument("--jobs", type=int, default=None, help="suite worker pool size")
     p_verify.add_argument("--config", default=None, help="key=value config file; flags override")
     p_verify.add_argument("--a", type=int, default=None, help="thm51: family parameter a")
@@ -284,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dump.add_argument("--d", type=_fraction_arg, default=Fraction(16), help="theta scale for --class")
     p_dump.add_argument("--bound", type=int, default=None)
-    p_dump.add_argument("--cache", default=None)
     p_dump.set_defaults(func=cmd_dump)
 
     p_search = sub.add_parser("search", help="integer-relation search over a product pool")
@@ -292,11 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--trunc", type=_fraction_arg, default=Fraction(20))
     p_search.add_argument("--max-coeff", type=int, default=None)
     p_search.set_defaults(func=cmd_search)
-
-    p_cache = sub.add_parser("cache", help="skew-set cache maintenance")
-    p_cache.add_argument("action", choices=["stats", "clear"])
-    p_cache.add_argument("--cache", required=True, help="cache directory")
-    p_cache.set_defaults(func=cmd_cache)
     return parser
 
 

@@ -15,7 +15,16 @@ from math import gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .bridge import cross_field_sides
-from .qseries import QSeries, equals_to_order, eta, theta_gen, v_func
+from .qseries import (
+    QSeries,
+    _fraction,
+    equals_to_order,
+    eta,
+    series_sum,
+    theta_gen,
+    theta_lincomb,
+    v_func,
+)
 from .quadfield import (
     class_number,
     factorint,
@@ -43,7 +52,7 @@ class _VCache:
     """V(r, m) values memoized on the canonical index min(r mod 2k, -r mod 2k)."""
 
     def __init__(self, trunc) -> None:
-        self.trunc = Fraction(trunc)
+        self.trunc = _fraction(trunc)
         self._store: dict[tuple[int, int], QSeries] = {}
 
     def __call__(self, r: int, m: int) -> QSeries:
@@ -57,13 +66,11 @@ class _VCache:
         return hit
 
 
-def _sum(series: Iterable[QSeries]) -> QSeries:
-    total: Optional[QSeries] = None
-    for s in series:
-        total = s if total is None else total + s
-    if total is None:
-        raise ValueError("empty sum")
-    return total
+def _v_sum(indices: Iterable[int], m: int, trunc) -> QSeries:
+    """sum_x V(x, m) over the indices, as one lattice sum at level m(m+1)."""
+    f = 2 * m + 1
+    combo = [(sign, x * g) for x in indices for sign, g in ((1, 1), (-1, f))]
+    return theta_lincomb(combo, m * (m + 1), trunc)
 
 
 # -- the first identity family (level 3 vs level 4 squares) -------------------------
@@ -83,6 +90,7 @@ def _id1_sides(i: int, V: _VCache) -> tuple[QSeries, QSeries]:
 
 def verify_id1(trunc=Fraction(20)) -> list[VerificationReport]:
     """The three quadratic identities tying level 3 to level 4."""
+    trunc = _fraction(trunc)
     V = _VCache(trunc)
     out = []
     for i in (1, 2, 3):
@@ -105,7 +113,7 @@ ID2_ROWS: list[tuple[str, tuple]] = [
 
 
 def _id2_sides(tag: str, V: _VCache, trunc) -> tuple[QSeries, QSeries]:
-    e = eta(Fraction(trunc))
+    e = eta(trunc)
     data = dict(ID2_ROWS)[tag]
     if tag in ("s2", "s6"):
         a, c, d = data
@@ -118,6 +126,7 @@ def _id2_sides(tag: str, V: _VCache, trunc) -> tuple[QSeries, QSeries]:
 
 def verify_id2(trunc=Fraction(20)) -> list[VerificationReport]:
     """The six eta-multiplied identities tying level 4 to levels 3 and 5."""
+    trunc = _fraction(trunc)
     V = _VCache(trunc)
     out = []
     for tag, _ in ID2_ROWS:
@@ -150,6 +159,7 @@ def verify_relations55(trunc=Fraction(20), bound: Optional[int] = None) -> list[
     Each line is checked twice: both sides by independent ideal enumeration
     in their own fields, and the left side against its V-product form.
     """
+    trunc = _fraction(trunc)
     k2, f4p2, f4 = _sqrt2_conductors()
     k1, f8, f4p2_g = _gauss_conductors()
     V = _VCache(trunc)
@@ -169,7 +179,7 @@ def verify_relations55(trunc=Fraction(20), bound: Optional[int] = None) -> list[
             VerificationReport(
                 name="relations55",
                 params={"line": name, "d": d},
-                trunc=Fraction(trunc),
+                trunc=trunc,
                 passed=passed,
                 first_mismatch=cross_mismatch if not cross_ok else v_mismatch,
                 wall_time_ms=(time.perf_counter() - started) * 1000.0,
@@ -218,20 +228,28 @@ class FamilyParams:
         return cls(a=a, p=p, aprime=aprime, m=4 * a * a, c=a * aprime, r=r, eps=eps)
 
 
+def thm51_index(params: FamilyParams, u: int) -> int:
+    """The lift h_u of u: h_u = u mod p and h_u = 1 mod 8a^2 (Chinese remainders)."""
+    p, n = params.p, 8 * params.a * params.a
+    return u + p * (((1 - u) * pow(p, -1, n)) % n)
+
+
 def thm51_lhs(params: FamilyParams, trunc) -> QSeries:
-    """Triple sum of V-products at level m = 4a^2."""
-    V = _VCache(trunc)
+    """Triple sum of V-products at level m = 4a^2,
+
+        sum_{u < p/2} sum_{v, w < c} V(c h_u (r + 8vp), m) V(c h_u ((2a - eps p) r + 8wp), m),
+
+    summed as sum_u L_u R_u with L_u and R_u the sums over v and over w.
+    """
     a, p, c, m, r, eps = params.a, params.p, params.c, params.m, params.r, params.eps
-    total: Optional[QSeries] = None
+    T = _fraction(trunc)
+    products = []
     for u in range(1, (p - 1) // 2 + 1):
-        hu = u + 5 * p * (1 - u)
-        for v in range(c):
-            left = V(c * hu * (r + 8 * v * p), m)
-            for w in range(c):
-                term = left * V(c * hu * ((2 * a - eps * p) * r + 8 * w * p), m)
-                total = term if total is None else total + term
-    assert total is not None
-    return total
+        hu = thm51_index(params, u)
+        left = _v_sum((c * hu * (r + 8 * v * p) for v in range(c)), m, T)
+        right = _v_sum((c * hu * ((2 * a - eps * p) * r + 8 * w * p) for w in range(c)), m, T)
+        products.append(left * right)
+    return series_sum(products)
 
 
 def thm51_rhs(params: FamilyParams, trunc) -> QSeries:
@@ -294,12 +312,12 @@ def consolidate(c: int, kprime: int, b: int, r: int, m: int, trunc=Fraction(10))
     k = c * c * kprime
     if m * (m + 1) != k:
         raise ValueError(f"m(m+1) = {m*(m+1)} differs from c^2 k' = {k}")
-    T = Fraction(trunc)
-    lemma_lhs = _sum(theta_gen(c * b * (r + 2 * j * kprime), k, T) for j in range(c))
+    T = _fraction(trunc)
+    indices = [c * b * (r + 2 * j * kprime) for j in range(c)]
+    lemma_lhs = theta_lincomb([(1, x) for x in indices], k, T)
     lemma_rhs = theta_gen(b * r, kprime, T)
-    V = _VCache(T)
-    coro_lhs = _sum(V(c * b * (r + 2 * j * kprime), m) for j in range(c))
-    coro_rhs = theta_gen(b * r, kprime, T) - theta_gen(b * r * (2 * m + 1), kprime, T)
+    coro_lhs = _v_sum(indices, m, T)
+    coro_rhs = theta_lincomb(((1, b * r), (-1, b * r * (2 * m + 1))), kprime, T)
     rep1 = compare_series_report("consolidate_theta", {}, lemma_lhs, lemma_rhs, T, started)
     rep2 = compare_series_report("consolidate_v", {}, coro_lhs, coro_rhs, T, started)
     passed = rep1.passed and rep2.passed
@@ -408,7 +426,7 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
     (s, r, t) row the cross-field equality at d = 240 plus both V-product
     reduction checks.
     """
-    T = Fraction(trunc)
+    T = _fraction(trunc)
     out: list[VerificationReport] = []
     started = time.perf_counter()
 
@@ -502,7 +520,7 @@ class SearchConfig:
     def from_products(cls, products: Sequence[tuple[str, Sequence[tuple[int, int]]]], trunc=Fraction(20), max_coeff: int = 99) -> "SearchConfig":
         return cls(
             pool=tuple((label, tuple(factors)) for label, factors in products),
-            trunc=Fraction(trunc),
+            trunc=_fraction(trunc),
             max_coeff=max_coeff,
         )
 
@@ -622,7 +640,7 @@ def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
     """Deliberately mutated variant of a suite comparison; must FAIL with a
     finite first-mismatch exponent."""
     started = time.perf_counter()
-    T = Fraction(trunc)
+    T = _fraction(trunc)
     V = _VCache(T)
     if suite == "id1":
         lhs = V(1, 2) * V(1, 3)
@@ -647,7 +665,7 @@ def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
         )
         rhs = ray_theta(combo, 16, T)
     elif suite == "consolidate":
-        lhs = _sum(V(99 * (1 + 12 * j), 242) for j in range(99))
+        lhs = _v_sum((99 * (1 + 12 * j) for j in range(99)), 242, T)
         rhs = theta_gen(1, 6, T) + theta_gen(5, 6, T)
     elif suite == "sec54":
         K, Fc, p5, p3, f4p2, p13 = _sqrt30_data()
@@ -704,7 +722,7 @@ def run_suite(
 ) -> list[VerificationReport]:
     if name not in SUITE_NAMES:
         raise KeyError(name)
-    T = Fraction(trunc) if trunc is not None else SUITE_DEFAULT_TRUNC[name]
+    T = _fraction(trunc) if trunc is not None else SUITE_DEFAULT_TRUNC[name]
     if name == "id1":
         return verify_id1(T)
     if name == "id2":
@@ -735,6 +753,7 @@ def run_suite(
 def search_regression(trunc=Fraction(20)) -> list[VerificationReport]:
     """Regression form of the search harness: pools holding known identities
     must return them (and only them)."""
+    trunc = _fraction(trunc)
     started = time.perf_counter()
     rels1 = search_relations(idp1_pool(trunc))
     want = [
@@ -749,7 +768,7 @@ def search_regression(trunc=Fraction(20)) -> list[VerificationReport]:
     rep1 = VerificationReport(
         name="search",
         params={"pool": "idp1", "relations": len(rels1)},
-        trunc=Fraction(trunc),
+        trunc=trunc,
         passed=ok1,
         first_mismatch=None,
         wall_time_ms=(time.perf_counter() - started) * 1000.0,
@@ -760,7 +779,7 @@ def search_regression(trunc=Fraction(20)) -> list[VerificationReport]:
     rep2 = VerificationReport(
         name="search",
         params={"pool": "id24", "relations": len(rels2)},
-        trunc=Fraction(trunc),
+        trunc=trunc,
         passed=ok2,
         first_mismatch=None,
         wall_time_ms=(time.perf_counter() - started) * 1000.0,

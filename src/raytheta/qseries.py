@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 
 class ExactDivisionError(ArithmeticError):
@@ -276,12 +276,13 @@ def divide_by_unit(num: QSeries, den: QSeries) -> QSeries:
 # -- classical series -------------------------------------------------------
 
 
-def theta_gen(ell: int, level: int, trunc) -> QSeries:
-    """Level-k lattice sum sum_{n in Z} q^(k (n + ell/2k)^2), k = level.
+def theta_lincomb(combo: Iterable[tuple[int, int]], level: int, trunc) -> QSeries:
+    """Integer combination sum_i c_i theta(ell_i, level) of level-k lattice sums.
 
-    Stored exponents are (2kn + ell)^2 / 4k; the summation range is derived
-    from exact integer square-root bounds so no term below the truncation is
-    missed.
+    theta(ell, k) = sum_{n in Z} q^(k (n + ell/2k)^2), so every term sits at
+    an exponent (2kn + ell)^2 / 4k.  All terms go into one integer dict over
+    denominator 4k; the summation range of each ell is derived from exact
+    integer square-root bounds so no term below the truncation is missed.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
@@ -289,31 +290,55 @@ def theta_gen(ell: int, level: int, trunc) -> QSeries:
     if T < 0:
         raise ValueError("truncation must be >= 0")
     k4 = 4 * level
-    cap = (k4 * T.numerator) // T.denominator
+    two_k = 2 * level
+    M = isqrt((k4 * T.numerator) // T.denominator)
     terms: dict[int, int] = {}
-    if cap >= 0:
-        M = isqrt(cap)
-        two_k = 2 * level
-        n_lo = -((M + ell) // two_k)
-        n_hi = (M - ell) // two_k
-        for n in range(n_lo, n_hi + 1):
-            v = two_k * n + ell
+    for c, ell in combo:
+        if not isinstance(c, int):
+            raise TypeError("theta combination coefficients must be integers")
+        # every v = ell mod 2k with |v| <= M, from the lowest upwards
+        for v in range(ell - two_k * ((M + ell) // two_k), M + 1, two_k):
             e = v * v
-            terms[e] = terms.get(e, 0) + 1
+            terms[e] = terms.get(e, 0) + c
     return QSeries(k4, terms, T)
+
+
+def theta_gen(ell: int, level: int, trunc) -> QSeries:
+    """Level-k lattice sum sum_{n in Z} q^(k (n + ell/2k)^2), k = level."""
+    return theta_lincomb(((1, ell),), level, trunc)
+
+
+def series_sum(series: Iterable[QSeries]) -> QSeries:
+    """Sum of a nonempty collection of series, accumulated in one dict.
+
+    Denominators are aligned once, to their common multiple; the result is
+    truncated at the smallest truncation among the summands.
+    """
+    parts = list(series)
+    if not parts:
+        raise ValueError("empty sum")
+    D = 1
+    for s in parts:
+        D = _lcm(D, s.denom)
+    out: dict[int, int] = {}
+    for s in parts:
+        f = D // s.denom
+        for n, c in s.terms.items():
+            n *= f
+            out[n] = out.get(n, 0) + c
+    return QSeries(D, out, min(s.trunc for s in parts))
 
 
 def eta(trunc) -> QSeries:
     """Dedekind eta as the level-6 theta difference theta(1,6) - theta(5,6)."""
-    return theta_gen(1, 6, trunc) - theta_gen(5, 6, trunc)
+    return theta_lincomb(((1, 1), (-1, 5)), 6, trunc)
 
 
 def v_func(r: int, m: int, trunc) -> QSeries:
     """V(r, m) = theta(r, m(m+1)) - theta(r(2m+1), m(m+1)) for m >= 2."""
     if m < 2:
         raise ValueError("m must be >= 2")
-    k = m * (m + 1)
-    return theta_gen(r, k, trunc) - theta_gen(r * (2 * m + 1), k, trunc)
+    return theta_lincomb(((1, r), (-1, r * (2 * m + 1))), m * (m + 1), trunc)
 
 
 def virasoro_char(r: int, s: int, m: int, trunc) -> QSeries:
@@ -328,5 +353,5 @@ def virasoro_char(r: int, s: int, m: int, trunc) -> QSeries:
         raise ValueError("need 2 <= m and 1 <= s <= r <= m-1")
     pad = _fraction(trunc) + Fraction(1, 24)
     k = m * (m + 1)
-    num = theta_gen(r * (m + 1) - s * m, k, pad) - theta_gen(r * (m + 1) + s * m, k, pad)
+    num = theta_lincomb(((1, r * (m + 1) - s * m), (-1, r * (m + 1) + s * m)), k, pad)
     return divide_by_unit(num, eta(pad))

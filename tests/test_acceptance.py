@@ -88,17 +88,23 @@ def test_criterion_4_family():
         vv_ok, _ = equals_to_order(lhs, thm51_vv_form(params, F(20)), F(20))
         base_ok = base_ok and vv_ok and thm51_check(1, r, eps, F(20)).passed
     p5 = FamilyParams.build(5, 1, 0)
-    terms = (p5.p - 1) // 2 * p5.c * p5.c
-    rep5 = thm51_check(5, 1, 0, F(4))
+    p13 = FamilyParams.build(13, 1, 0)
+    terms = [(p.p - 1) // 2 * p.c * p.c for p in (p5, p13)]
+    members = [thm51_check(a, 1, eps, F(20)) for a in (5, 13) for eps in (0, 1)]
     elapsed = time.perf_counter() - t0
     ok = (
         base_ok
         and (p5.m, p5.p, p5.c) == (100, 101, 5)
-        and terms == 1250
-        and rep5.passed
-        and elapsed < 60.0
+        and (p13.m, p13.p, p13.c) == (676, 677, 13)
+        and terms == [1250, 57122]
+        and all(rep.passed for rep in members)
+        and elapsed < 10.0
     )
-    _line("4 (infinite family)", ok, f"a=1 rows + a=5 (1250 products), {elapsed:.2f}s")
+    _line(
+        "4 (infinite family)",
+        ok,
+        f"a=1 rows + a=5, 13 at q^20, eps 0 and 1 (1250 and 57122 V-products), {elapsed:.2f}s",
+    )
 
 
 def test_criterion_5_consolidation_and_pell():

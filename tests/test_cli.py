@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, JSON output, config and cache handling."""
+"""Command-line behavior: exit codes, JSON output and config handling."""
 
 import json
 
@@ -203,23 +203,6 @@ def test_search_command(capsys):
     assert len(rels) == 3
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = str(tmp_path / "as")
-    rc = main(["dump", "rayclass", "-D", "-2", "--Dp", "-1", "-F", "4*P2", "--cache", cache])
-    first = capsys.readouterr().out
-    assert rc == 0
-    rc = main(["cache", "stats", "--cache", cache])
-    stats = json.loads(capsys.readouterr().out)
-    assert rc == 0 and stats["entries"] == 1
-    rc = main(["cache", "clear", "--cache", cache])
-    cleared = json.loads(capsys.readouterr().out)
-    assert rc == 0 and cleared["cleared"] == 1
-    rc = main(["dump", "rayclass", "-D", "-2", "--Dp", "-1", "-F", "4*P2", "--cache", cache])
-    second = capsys.readouterr().out
-    assert rc == 0
-    assert first == second
-
-
 def test_verify_search_regression_suite(capsys):
     rc = main(["verify", "search", "--trunc", "16/1"])
     out = capsys.readouterr().out
@@ -227,10 +210,21 @@ def test_verify_search_regression_suite(capsys):
     assert out.count("PASS") == 2
 
 
-def test_cache_stats_empty_dir(tmp_path, capsys):
-    rc = main(["cache", "stats", "--cache", str(tmp_path / "nothing")])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["entries"] == 0
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "id1", "--cache", "as-cache"],
+        ["dump", "rayclass", "-D", "-2", "--Dp", "-1", "-F", "4*P2", "--cache", "as-cache"],
+        ["cache", "stats", "--cache", "as-cache"],
+    ],
+    ids=["verify", "dump", "cache"],
+)
+def test_skew_set_cache_is_gone(argv, capsys):
+    # skew sets are always recomputed; the old cache flags are bad usage
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
 
 
 def test_exit_three_on_closure_failure(capsys, monkeypatch):

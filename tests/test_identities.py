@@ -6,6 +6,7 @@ import pytest
 
 from raytheta.identities import (
     FamilyParams,
+    _VCache,
     PellSolution,
     SearchConfig,
     consolidate,
@@ -15,15 +16,17 @@ from raytheta.identities import (
     pell_levels,
     pell_reports,
     run_suite,
+    search_regression,
     search_relations,
     thm51_check,
+    thm51_index,
     thm51_lhs,
     thm51_vv_form,
     verify_id1,
     verify_id2,
     verify_relations55,
 )
-from raytheta.qseries import equals_to_order, eta, v_func
+from raytheta.qseries import equals_to_order, eta, series_sum, v_func
 
 
 def test_id1_all_pass():
@@ -52,26 +55,85 @@ def test_thm51_base_cases_match_vv_form():
 
 
 def test_thm51_next_member():
-    rep = thm51_check(5, 1, 0, F(2))
+    rep = thm51_check(5, 1, 0, F(20))
     assert rep.passed and rep.params["m"] == 100 and rep.params["p"] == 101
 
 
 def test_thm51_further_square_free_member():
     # a = 13 gives p = 677 prime with a' = 1; both parity variants hold
-    rep = thm51_check(13, 1, 0, F(2))
+    rep = thm51_check(13, 1, 0, F(20))
     assert rep.passed and rep.params["m"] == 676
-    assert thm51_check(13, 1, 1, F(2)).passed
+    assert thm51_check(13, 1, 1, F(20)).passed
 
 
 def test_thm51_nontrivial_square_part_fails_and_is_reported():
-    # a = 9 satisfies every stated precondition (p = 13, a' = 5) yet the
-    # series differ from the first coefficient on; the checker must report
-    # the mismatch honestly rather than error out
+    # a = 9 satisfies every stated precondition (p = 13, a' = 5) yet its
+    # eps = 0 rows differ from the first coefficient on; the checker must
+    # report the mismatch honestly rather than error out.  Its eps = 1 rows
+    # hold.
     rep = thm51_check(9, 1, 0, F(2))
     assert not rep.passed
     assert rep.first_mismatch == (F(1, 16), 0, 1)
     rep2 = thm51_check(9, 3, 1, F(3))
-    assert not rep2.passed and rep2.first_mismatch is not None
+    assert rep2.passed and rep2.first_mismatch is None
+
+
+def _old_lift(params, u):
+    # the index lift before the Chinese-remainder fix; right only at a = 1
+    return u + 5 * params.p * (1 - u)
+
+
+def _triple_sum_oracle(params, trunc, lift):
+    """thm51's left side term by term: one V-product per (u, v, w)."""
+    a, p, c, m, r, eps = params.a, params.p, params.c, params.m, params.r, params.eps
+    two_k = 2 * m * (m + 1)
+    memo = {}
+
+    def V(x):
+        x %= two_k
+        if x not in memo:
+            memo[x] = v_func(x, m, trunc)
+        return memo[x]
+
+    total = None
+    for u in range(1, (p - 1) // 2 + 1):
+        hu = lift(params, u)
+        for v in range(c):
+            left = V(c * hu * (r + 8 * v * p))
+            for w in range(c):
+                term = left * V(c * hu * ((2 * a - eps * p) * r + 8 * w * p))
+                total = term if total is None else total + term
+    return total
+
+
+@pytest.mark.parametrize("lift", [thm51_index, _old_lift], ids=["crt", "old"])
+@pytest.mark.parametrize("a,trunc", [(1, F(20)), (5, F(20)), (13, F(4))])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_thm51_lhs_equals_triple_sum_oracle(a, trunc, eps, lift, monkeypatch):
+    import raytheta.identities as ident
+
+    monkeypatch.setattr(ident, "thm51_index", lift)
+    params = FamilyParams.build(a, 1, eps)
+    got = thm51_lhs(params, trunc)
+    want = _triple_sum_oracle(params, trunc, lift)
+    assert (got.denom, got.terms, got.trunc) == (want.denom, want.terms, want.trunc)
+
+
+def test_thm51_index_is_the_crt_lift():
+    for a in (1, 5, 9, 13):
+        params = FamilyParams.build(a, 1, 0)
+        n = 8 * a * a
+        for u in range(1, (params.p - 1) // 2 + 1):
+            h = thm51_index(params, u)
+            assert h % params.p == u % params.p and h % n == 1
+
+
+def test_thm51_fixed_members_pass_for_every_r():
+    for a in (5, 13):
+        for eps in (0, 1):
+            for r in (1, 3, 5, 7, 9, 11, 13, 15):
+                rep = thm51_check(a, r, eps, F(20))
+                assert rep.passed, (a, r, eps, rep.first_mismatch)
 
 
 def test_thm51_parameter_validation():
@@ -97,10 +159,8 @@ def test_consolidate_fixtures():
 
 
 def test_consolidate_242_sum_is_eta():
-    from raytheta.identities import _VCache, _sum
-
     V = _VCache(F(10))
-    total = _sum(V(99 * (1 + 12 * j), 242) for j in range(99))
+    total = series_sum(V(99 * (1 + 12 * j), 242) for j in range(99))
     ok, mism = equals_to_order(total, eta(F(10)), F(10))
     assert ok, mism
 
@@ -225,3 +285,24 @@ def test_sec54_stable_at_raised_truncation():
 
     # ideal norms to 1440 instead of the acceptance gate's 960
     assert all(r.passed for r in verify_sec54(F(6)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: verify_id1(6.0),
+        lambda: verify_id2(6.0),
+        lambda: _VCache(6.0),
+        lambda: consolidate(99, 6, 1, 1, 242, 10.0),
+        lambda: run_suite("id2", 0.1),
+        lambda: run_suite("pell", 1.0),
+        lambda: search_regression(16.0),
+        lambda: negative_control("id1", 8.0),
+        lambda: thm51_check(1, 1, 0, 4.0),
+        lambda: verify_relations55(8.0),
+    ],
+    ids=["id1", "id2", "vcache", "consolidate", "run_suite", "run_suite_pell", "search", "negative_control", "thm51", "relations55"],
+)
+def test_identities_reject_float_truncations(call):
+    with pytest.raises(TypeError):
+        call()

@@ -11,7 +11,9 @@ from raytheta.qseries import (
     divide_by_unit,
     equals_to_order,
     eta,
+    series_sum,
     theta_gen,
+    theta_lincomb,
     v_func,
     virasoro_char,
 )
@@ -133,6 +135,52 @@ def test_v_rejects_small_m():
         v_func(1, 1, 4)
 
 
+# -- lattice-sum kernel and one-dict sums ----------------------------------
+
+
+def brute_theta(ell, k, trunc) -> QSeries:
+    """Oracle: theta(ell, k) by direct lattice enumeration with exact exponents."""
+    T = F(trunc)
+    rng = int(T) + abs(ell) // (2 * k) + 2
+    terms: dict[F, int] = {}
+    for n in range(-rng, rng + 1):
+        e = F((2 * k * n + ell) ** 2, 4 * k)
+        if e <= T:
+            terms[e] = terms.get(e, 0) + 1
+    return QSeries.from_exponents(terms, T)
+
+
+truncations = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(0, 40), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(-60, 60)), min_size=1, max_size=6),
+    st.integers(1, 20),
+    truncations,
+)
+def test_theta_lincomb_is_signed_sum_of_thetas(combo, k, T):
+    got = theta_lincomb(combo, k, T)
+    want = series_sum(theta_gen(ell, k, T).scaled(c) for c, ell in combo)
+    assert got == want
+    assert want == series_sum(brute_theta(ell, k, T).scaled(c) for c, ell in combo)
+
+
+@pytest.mark.parametrize("ell,k,T", [(0, 1, 0), (1, 6, 0), (0, 1, F(1, 2)), (-7, 12, F(49, 48)), (13, 6, 10)])
+def test_theta_gen_matches_brute_force(ell, k, T):
+    assert theta_gen(ell, k, T) == brute_theta(ell, k, T)
+
+
+def test_theta_lincomb_rejects_floats():
+    with pytest.raises(TypeError):
+        theta_lincomb([(1, 1)], 6, 2.0)
+    with pytest.raises(TypeError):
+        theta_lincomb([(1.0, 1)], 6, 2)
+
+
 # -- ring operations --------------------------------------------------------
 
 
@@ -180,6 +228,21 @@ def test_mul_commutes(a, b):
 def test_mul_associates_and_distributes(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(sparse_series, min_size=1, max_size=5))
+def test_series_sum_equals_chained_addition(parts):
+    total = parts[0]
+    for s in parts[1:]:
+        total = total + s
+    assert series_sum(parts) == total
+    assert series_sum(iter(parts)) == total
+
+
+def test_series_sum_rejects_empty():
+    with pytest.raises(ValueError):
+        series_sum([])
 
 
 @settings(max_examples=200, deadline=None)
