@@ -11,13 +11,12 @@ a prime off the conductor against doubled class sets).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence
 
-from .qseries import QSeries
+from .qseries import QSeries, _fraction
 from .quadfield import (
     Field,
     QIdeal,
@@ -39,7 +38,7 @@ from .rayclass import (
     ray_theta,
     units_mod_conductor,
 )
-from .report import VerificationReport, compare_series_report
+from .report import ReportBuilder, VerificationReport
 
 Coords = tuple[Fraction, Fraction]
 
@@ -76,12 +75,13 @@ def quad_le_range(A: int, B: int, C: int) -> Optional[tuple[int, int]]:
 
 
 def _scale_to_int(offset: Coords, cols: Sequence[Coords]) -> tuple[int, tuple[int, int], list[tuple[int, int]]]:
+    offset = tuple(map(_fraction, offset))
+    cols = [tuple(map(_fraction, col)) for col in cols]
     s = 1
     for v in (*offset, *(x for col in cols for x in col)):
-        v = Fraction(v)
         s = s // gcd(s, v.denominator) * v.denominator
-    o = (int(s * Fraction(offset[0])), int(s * Fraction(offset[1])))
-    icols = [(int(s * Fraction(x)), int(s * Fraction(y))) for x, y in cols]
+    o = (int(s * offset[0]), int(s * offset[1]))
+    icols = [(int(s * x), int(s * y)) for x, y in cols]
     return s, o, icols
 
 
@@ -93,8 +93,8 @@ def theta_coset_raw(
     cols are one or two basis vectors in (1, w) coordinates; rational entries
     are allowed.  Enumeration bounds are exact.
     """
-    d = Fraction(d)
-    T = Fraction(trunc)
+    d = _fraction(d)
+    T = _fraction(trunc)
     if d <= 0:
         raise ValueError("scale must be positive")
     s, (ox, oy), icols = _scale_to_int(offset, cols)
@@ -120,32 +120,18 @@ def theta_coset_raw(
         return QSeries.from_exponents(terms, T)
 
     a, b, c = hnf2(icols)
-    # points (ox + i a + j b, oy + j c); the y part depends on j alone
-    if fld.half_basis:
-        absD = abs(fld.D)
-        # 4 N(x, y) = (2x + y)^2 + |D| y^2
-        jr = quad_le_range(absD * c * c, 2 * absD * c * oy, absD * oy * oy - 4 * M)
-        if jr:
-            for j in range(jr[0], jr[1] + 1):
-                y = oy + j * c
-                rest = 4 * M - absD * y * y
-                u0 = 2 * (ox + j * b) + y
-                ir = quad_le_range(4 * a * a, 4 * a * u0, u0 * u0 - rest)
-                if ir:
-                    for i in range(ir[0], ir[1] + 1):
-                        put(fld.norm_xy(ox + i * a + j * b, y))
-    else:
-        absD = abs(fld.D)
-        jr = quad_le_range(absD * c * c, 2 * absD * c * oy, absD * oy * oy - M)
-        if jr:
-            for j in range(jr[0], jr[1] + 1):
-                y = oy + j * c
-                rest = M - absD * y * y
-                x0 = ox + j * b
-                ir = quad_le_range(a * a, 2 * a * x0, x0 * x0 - rest)
-                if ir:
-                    for i in range(ir[0], ir[1] + 1):
-                        put(fld.norm_xy(x0 + i * a, y))
+    # points (ox + i a + j b, oy + j c); the y part depends on j alone, and
+    # 4 N(x, y) = (2x + e y)^2 + delta y^2
+    e, delta = (1, abs(fld.D)) if fld.half_basis else (0, 4 * abs(fld.D))
+    jr = quad_le_range(delta * c * c, 2 * delta * c * oy, delta * oy * oy - 4 * M)
+    if jr:
+        for j in range(jr[0], jr[1] + 1):
+            y = oy + j * c
+            u0 = 2 * (ox + j * b) + e * y
+            ir = quad_le_range(4 * a * a, 4 * a * u0, u0 * u0 + delta * y * y - 4 * M)
+            if ir:
+                for i in range(ir[0], ir[1] + 1):
+                    put(fld.norm_xy(ox + i * a + j * b, y))
     return QSeries.from_exponents(terms, T)
 
 
@@ -263,7 +249,7 @@ def decompose_coset(
         raise ValueError("lattice ranks differ: infinite index")
     if len(cols) == 1:
         (lx, ly), (mx, my) = cols[0], sub_cols[0]
-        lx, ly, mx, my = (Fraction(v) for v in (lx, ly, mx, my))
+        lx, ly, mx, my = (_fraction(v) for v in (lx, ly, mx, my))
         ratio = None
         for num, den in ((mx, lx), (my, ly)):
             if den != 0:
@@ -273,16 +259,16 @@ def decompose_coset(
         if mx != ratio * lx or my != ratio * ly:
             raise ValueError("sublattice vector is not parallel")
         n = abs(int(ratio))
-        ox, oy = Fraction(offset[0]), Fraction(offset[1])
+        ox, oy = _fraction(offset[0]), _fraction(offset[1])
         return [(ox + t * lx, oy + t * ly) for t in range(n)]
 
-    (a1, a2), (b1, b2) = (tuple(map(Fraction, c)) for c in cols)
+    (a1, a2), (b1, b2) = (tuple(map(_fraction, c)) for c in cols)
     det = a1 * b2 - a2 * b1
     if det == 0:
         raise ValueError("degenerate lattice basis")
     m_cols = []
     for sx, sy in sub_cols:
-        sx, sy = Fraction(sx), Fraction(sy)
+        sx, sy = _fraction(sx), _fraction(sy)
         u = (sx * b2 - sy * b1) / det
         v = (a1 * sy - a2 * sx) / det
         if u.denominator != 1 or v.denominator != 1:
@@ -292,7 +278,7 @@ def decompose_coset(
         ha, hb, hc = hnf2(m_cols)
     except ValueError:
         raise ValueError("sublattice has infinite index")
-    ox, oy = Fraction(offset[0]), Fraction(offset[1])
+    ox, oy = _fraction(offset[0]), _fraction(offset[1])
     out = []
     for i in range(ha):
         for j in range(hc):
@@ -360,8 +346,8 @@ def check_cross_field(
     scale d only rescales every exponent by 1/d on both sides, so equality
     checked at one d is equality for all d.
     """
-    started = time.perf_counter()
-    lhs, rhs = cross_field_sides(D, Dprime, F, Fprime, J, Jprime, d, trunc, bound)
+    rows = ReportBuilder(trunc)
+    lhs, rhs = cross_field_sides(D, Dprime, F, Fprime, J, Jprime, d, rows.trunc, bound)
     params = {
         "D": D,
         "Dprime": Dprime,
@@ -371,7 +357,7 @@ def check_cross_field(
         "Jprime": list(Jprime.key),
         "d": Fraction(d),
     }
-    return compare_series_report(name, params, lhs, rhs, trunc, started)
+    return rows.add(name, params, ("", lhs, rhs))
 
 
 def _is_prime_ideal(P: QIdeal) -> bool:
@@ -395,7 +381,7 @@ def check_descent(
     to P*F, B contains both the square of the skew class of P and the skew
     class of J, and T is exactly B times the skew class of P.
     """
-    started = time.perf_counter()
+    rows = ReportBuilder(trunc)
     fld = F.field
     if not F.self_conjugate:
         raise ValueError("conductor must be self-conjugate")
@@ -434,4 +420,4 @@ def check_descent(
         "d": Fraction(d),
         "lifted_sizes": [len(b_lift), len(t_lift)],
     }
-    return compare_series_report(name, params, lhs, rhs, trunc, started)
+    return rows.add(name, params, ("", lhs, rhs))

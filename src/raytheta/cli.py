@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -31,16 +30,29 @@ from .rayclass import (
 )
 
 
-def _read_config(path: Optional[str]) -> dict[str, str]:
+_CONFIG_KEYS = ("trunc", "bound", "json")
+
+
+def _read_config(path: Optional[str]) -> dict:
+    """The key=value lines of a config file; unknown keys are bad usage."""
     if not path:
         return {}
-    out: dict[str, str] = {}
+    out: dict = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key!r} in {path}; known: {', '.join(_CONFIG_KEYS)}")
+        out[key] = value
+    if "trunc" in out:
+        out["trunc"] = parse_fraction(out["trunc"])
+    if "bound" in out:
+        try:
+            out["bound"] = int(out["bound"])
+        except ValueError:
+            raise ParseError(f"config key bound={out['bound']!r} is not an integer")
     return out
 
 
@@ -55,12 +67,7 @@ def _emit_reports(reports, as_json: bool) -> None:
 def cmd_verify(args) -> int:
     cfg = _read_config(args.config)
     trunc = args.trunc if args.trunc is not None else cfg.get("trunc")
-    if isinstance(trunc, str):
-        trunc = parse_fraction(trunc)
-    bound = args.bound if args.bound is not None else (
-        int(cfg["bound"]) if "bound" in cfg else None
-    )
-    jobs = args.jobs if args.jobs is not None else int(cfg.get("jobs", "1"))
+    bound = args.bound if args.bound is not None else cfg.get("bound")
     as_json = args.json or cfg.get("json", "").lower() in ("1", "true", "yes")
 
     suites = args.suites or ["id1", "id2", "relations55", "thm51", "consolidate", "pell"]
@@ -70,24 +77,19 @@ def cmd_verify(args) -> int:
         print(f"available: {', '.join(identities.SUITE_NAMES)}", file=sys.stderr)
         return 2
 
-    def run(name: str):
-        return identities.run_suite(
-            name,
-            trunc,
-            bound=bound,
-            a=args.a,
-            r=args.r,
-            eps=args.eps,
-            count=args.count,
-            experimental=args.experimental,
-        )
-
+    reports = []
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run, suites))
-        else:
-            results = [run(s) for s in suites]
+        for name in suites:
+            reports += identities.run_suite(
+                name,
+                trunc,
+                bound=bound,
+                a=args.a,
+                r=args.r,
+                eps=args.eps,
+                count=args.count,
+                experimental=args.experimental,
+            )
     except ClosureError as exc:
         print(f"enumeration failure: {exc}", file=sys.stderr)
         return 3
@@ -97,7 +99,6 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reports = [rep for batch in results for rep in batch]
     _emit_reports(reports, as_json)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -198,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trunc", type=_fraction_arg, default=None, help="truncation as num/den")
     p_verify.add_argument("--bound", type=int, default=None, help="norm cap on the generator primes of ray class groups")
     p_verify.add_argument("--json", action="store_true", help="machine-readable reports")
-    p_verify.add_argument("--jobs", type=int, default=None, help="suite worker pool size")
     p_verify.add_argument("--config", default=None, help="key=value config file; flags override")
     p_verify.add_argument("--a", type=int, default=None, help="thm51: family parameter a")
     p_verify.add_argument("--r", type=int, default=None, help="thm51: odd index r")

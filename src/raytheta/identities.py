@@ -8,7 +8,6 @@ recovered by exact division only when a report asks for them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -18,7 +17,6 @@ from .bridge import cross_field_sides
 from .qseries import (
     QSeries,
     _fraction,
-    equals_to_order,
     eta,
     series_sum,
     theta_gen,
@@ -42,7 +40,7 @@ from .rayclass import (
     ray_class,
     ray_theta,
 )
-from .report import VerificationReport, compare_series_report
+from .report import ReportBuilder, VerificationReport
 
 
 # -- small helpers ---------------------------------------------------------------
@@ -90,14 +88,11 @@ def _id1_sides(i: int, V: _VCache) -> tuple[QSeries, QSeries]:
 
 def verify_id1(trunc=Fraction(20)) -> list[VerificationReport]:
     """The three quadratic identities tying level 3 to level 4."""
-    trunc = _fraction(trunc)
-    V = _VCache(trunc)
-    out = []
+    rows = ReportBuilder(trunc)
+    V = _VCache(rows.trunc)
     for i in (1, 2, 3):
-        started = time.perf_counter()
-        lhs, rhs = _id1_sides(i, V)
-        out.append(compare_series_report("id1", {"i": i}, lhs, rhs, trunc, started))
-    return out
+        rows.add("id1", {"i": i}, ("", *_id1_sides(i, V)))
+    return rows.reports
 
 
 ID2_ROWS: list[tuple[str, tuple]] = [
@@ -126,14 +121,11 @@ def _id2_sides(tag: str, V: _VCache, trunc) -> tuple[QSeries, QSeries]:
 
 def verify_id2(trunc=Fraction(20)) -> list[VerificationReport]:
     """The six eta-multiplied identities tying level 4 to levels 3 and 5."""
-    trunc = _fraction(trunc)
-    V = _VCache(trunc)
-    out = []
+    rows = ReportBuilder(trunc)
+    V = _VCache(rows.trunc)
     for tag, _ in ID2_ROWS:
-        started = time.perf_counter()
-        lhs, rhs = _id2_sides(tag, V, trunc)
-        out.append(compare_series_report("id2", {"row": tag}, lhs, rhs, trunc, started))
-    return out
+        rows.add("id2", {"row": tag}, ("", *_id2_sides(tag, V, rows.trunc)))
+    return rows.reports
 
 
 # -- the three cross-field relation lines ---------------------------------------------
@@ -159,34 +151,24 @@ def verify_relations55(trunc=Fraction(20), bound: Optional[int] = None) -> list[
     Each line is checked twice: both sides by independent ideal enumeration
     in their own fields, and the left side against its V-product form.
     """
-    trunc = _fraction(trunc)
+    rows = ReportBuilder(trunc)
     k2, f4p2, f4 = _sqrt2_conductors()
     k1, f8, f4p2_g = _gauss_conductors()
-    V = _VCache(trunc)
+    V = _VCache(rows.trunc)
     lines = [
         ("line1", f4p2, f8, k2.maximal_order, k1.maximal_order, Fraction(16), V(1, 2) * V(1, 3)),
         ("line2", f4p2, f8, principal_ideal(k2.elem(1, 2)), principal_ideal(k1.elem(3)), Fraction(16), V(1, 2) * V(5, 3)),
         ("line3", f4, f4p2_g, k2.maximal_order, k1.maximal_order, Fraction(8), V(1, 2) * V(2, 3)),
     ]
-    out = []
     for name, Fc, Fcp, J, Jp, d, vform in lines:
-        started = time.perf_counter()
-        lhs, rhs = cross_field_sides(-2, -1, Fc, Fcp, J, Jp, d, trunc, bound)
-        cross_ok, cross_mismatch = equals_to_order(lhs, rhs, trunc)
-        v_ok, v_mismatch = equals_to_order(vform, lhs, trunc)
-        passed = cross_ok and v_ok
-        out.append(
-            VerificationReport(
-                name="relations55",
-                params={"line": name, "d": d},
-                trunc=trunc,
-                passed=passed,
-                first_mismatch=cross_mismatch if not cross_ok else v_mismatch,
-                wall_time_ms=(time.perf_counter() - started) * 1000.0,
-                notes="" if passed else ("cross-field mismatch" if not cross_ok else "V-form mismatch"),
-            )
+        lhs, rhs = cross_field_sides(-2, -1, Fc, Fcp, J, Jp, d, rows.trunc, bound)
+        rows.add(
+            "relations55",
+            {"line": name, "d": d},
+            ("cross-field mismatch", lhs, rhs),
+            ("V-form mismatch", vform, lhs),
         )
-    return out
+    return rows.reports
 
 
 # -- the infinite family ----------------------------------------------------------------
@@ -282,17 +264,12 @@ def thm51_check(
 ) -> VerificationReport:
     """One member of the family: level-m V-product sum against the Gaussian
     ray class theta difference."""
-    started = time.perf_counter()
+    rows = ReportBuilder(trunc)
     params = FamilyParams.build(a, r, eps, experimental)
-    lhs = thm51_lhs(params, trunc)
-    rhs = thm51_rhs(params, trunc)
-    return compare_series_report(
+    return rows.add(
         "thm51",
         {"a": a, "p": params.p, "c": params.c, "m": params.m, "r": r, "eps": eps},
-        lhs,
-        rhs,
-        trunc,
-        started,
+        ("", thm51_lhs(params, rows.trunc), thm51_rhs(params, rows.trunc)),
     )
 
 
@@ -306,30 +283,23 @@ def consolidate(c: int, kprime: int, b: int, r: int, m: int, trunc=Fraction(10))
     sum_j theta(c b (r + 2 j k'), k) = theta(b r, k') and, when k = m(m+1),
     its V-function corollary with right side theta(br,k') - theta(br(2m+1),k').
     """
-    started = time.perf_counter()
+    rows = ReportBuilder(trunc)
     if gcd(b, c) != 1:
         raise ValueError("b must be prime to c")
     k = c * c * kprime
     if m * (m + 1) != k:
         raise ValueError(f"m(m+1) = {m*(m+1)} differs from c^2 k' = {k}")
-    T = _fraction(trunc)
+    T = rows.trunc
     indices = [c * b * (r + 2 * j * kprime) for j in range(c)]
     lemma_lhs = theta_lincomb([(1, x) for x in indices], k, T)
     lemma_rhs = theta_gen(b * r, kprime, T)
     coro_lhs = _v_sum(indices, m, T)
     coro_rhs = theta_lincomb(((1, b * r), (-1, b * r * (2 * m + 1))), kprime, T)
-    rep1 = compare_series_report("consolidate_theta", {}, lemma_lhs, lemma_rhs, T, started)
-    rep2 = compare_series_report("consolidate_v", {}, coro_lhs, coro_rhs, T, started)
-    passed = rep1.passed and rep2.passed
-    mismatch = rep1.first_mismatch if not rep1.passed else rep2.first_mismatch
-    return VerificationReport(
-        name="consolidate",
-        params={"c": c, "kprime": kprime, "b": b, "r": r, "m": m},
-        trunc=T,
-        passed=passed,
-        first_mismatch=mismatch,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        notes="" if passed else ("theta form failed" if not rep1.passed else "V form failed"),
+    return rows.add(
+        "consolidate",
+        {"c": c, "kprime": kprime, "b": b, "r": r, "m": m},
+        ("theta form failed", lemma_lhs, lemma_rhs),
+        ("V form failed", coro_lhs, coro_rhs),
     )
 
 
@@ -373,20 +343,10 @@ def pell_levels(count: int) -> list[PellSolution]:
 
 
 def pell_reports(count: int = 2) -> list[VerificationReport]:
-    started = time.perf_counter()
-    out = []
+    rows = ReportBuilder(0)
     for sol in pell_levels(count):
-        out.append(
-            VerificationReport(
-                name="pell",
-                params={"m": sol.m, "c": sol.c},
-                trunc=Fraction(0),
-                passed=sol.verify(),
-                first_mismatch=None,
-                wall_time_ms=(time.perf_counter() - started) * 1000.0,
-            )
-        )
-    return out
+        rows.add("pell", {"m": sol.m, "c": sol.c}, ("", sol.verify(), None))
+    return rows.reports
 
 
 # -- the second identity family over sqrt(-30) / sqrt(-10) ----------------------------------
@@ -426,25 +386,13 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
     (s, r, t) row the cross-field equality at d = 240 plus both V-product
     reduction checks.
     """
-    T = _fraction(trunc)
-    out: list[VerificationReport] = []
-    started = time.perf_counter()
-
+    rows = ReportBuilder(trunc)
+    T = rows.trunc
     K, Fc, p5, p3, f4p2, p13 = _sqrt30_data()
     Kp, Fcp, p5p, three, f4p2p, p13p = _sqrt10_data()
     h_ok = class_number(K) == 4 and class_number(Kp) == 2
-    out.append(
-        VerificationReport(
-            name="sec54_class_groups",
-            params={"hK": class_number(K), "hKp": class_number(Kp)},
-            trunc=T,
-            passed=h_ok,
-            first_mismatch=None,
-            wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        )
-    )
+    rows.add("sec54_class_groups", {"hK": class_number(K), "hKp": class_number(Kp)}, ("", h_ok, None))
 
-    started = time.perf_counter()
     chi = CharacterPsi(-30, -10)
     chip = CharacterPsi(-10, -30)
     A, S = compute_skew_sets(chi, Fc, bound)
@@ -459,49 +407,25 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
     sflip = crt_class([(p5, -1), (p3, 1), (f4p2, 1)])
     a_ok = len(A) == 4 and all(any(a.same_class(e) for a in A) for e in expect_A)
     s_ok = len(S) == 4 and all(any(s.same_class(a * sflip) for s in S) for a in A)
-    out.append(
-        VerificationReport(
-            name="sec54_skew_sets",
-            params={"|A|": len(A), "|S|": len(S), "|A'|": len(Ap), "|S'|": len(Sp)},
-            trunc=T,
-            passed=a_ok and s_ok and len(Ap) == 8 and len(Sp) == 8,
-            first_mismatch=None,
-            wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        )
+    rows.add(
+        "sec54_skew_sets",
+        {"|A|": len(A), "|S|": len(S), "|A'|": len(Ap), "|S'|": len(Sp)},
+        ("", a_ok and s_ok and len(Ap) == 8 and len(Sp) == 8, None),
     )
 
     V = _VCache(T)
     d = Fraction(240)
     for s, r, t in SRT_ROWS:
-        started = time.perf_counter()
         gamma_l = crt_class([(p5, s), (p3, 1), (f4p2, 2 - s)])
         J = p13.mul(gamma_l.rep)
         gamma_r = crt_class([(p5p, t), (three, 1), (f4p2p, r)])
         Jp = p13p.mul(gamma_r.rep)
         lhs_theta, rhs_theta = cross_field_sides(-30, -10, Fc, Fcp, J, Jp, d, T, bound)
-        out.append(
-            compare_series_report(
-                "sec54_cross", {"s": s, "r": r, "t": t, "d": d}, lhs_theta, rhs_theta, T, started
-            )
-        )
-        out.append(
-            compare_series_report(
-                "sec54_lhs_reduction",
-                {"s": s},
-                (V(1, 2) * V(s, 4)).scaled(2),
-                lhs_theta,
-                T,
-                started,
-            )
-        )
-        started = time.perf_counter()
+        rows.add("sec54_cross", {"s": s, "r": r, "t": t, "d": d}, ("", lhs_theta, rhs_theta))
+        rows.add("sec54_lhs_reduction", {"s": s}, ("", (V(1, 2) * V(s, 4)).scaled(2), lhs_theta))
         vv = V(r, 3) * V(2 * t, 5) + V(-5 * r, 3) * V(32 * t, 5)
-        out.append(
-            compare_series_report(
-                "sec54_rhs_reduction", {"r": r, "t": t}, vv.scaled(2), rhs_theta, T, started
-            )
-        )
-    return out
+        rows.add("sec54_rhs_reduction", {"r": r, "t": t}, ("", vv.scaled(2), rhs_theta))
+    return rows.reports
 
 
 # -- relation search harness ------------------------------------------------------------------
@@ -639,8 +563,8 @@ def id24_pool(trunc=Fraction(20)) -> SearchConfig:
 def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
     """Deliberately mutated variant of a suite comparison; must FAIL with a
     finite first-mismatch exponent."""
-    started = time.perf_counter()
-    T = _fraction(trunc)
+    rows = ReportBuilder(trunc)
+    T = rows.trunc
     V = _VCache(T)
     if suite == "id1":
         lhs = V(1, 2) * V(1, 3)
@@ -677,19 +601,18 @@ def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
         rhs = (V(1, 2) * V(1, 4)).scaled(-2)
     elif suite == "pell":
         sol = PellSolution(m=675, c=175)
-        return VerificationReport(
-            name="negative_control",
-            params={"suite": suite, "m": sol.m, "c": sol.c},
-            trunc=T,
-            passed=sol.verify(),
-            first_mismatch=(Fraction(0), (2 * 675 + 1) ** 2 - 48 * 175**2, 1),
-            wall_time_ms=(time.perf_counter() - started) * 1000.0,
-            notes="mutated multiplier fails exact re-verification",
+        return rows.add(
+            "negative_control",
+            {"suite": suite, "m": sol.m, "c": sol.c},
+            (
+                "mutated multiplier fails exact re-verification",
+                sol.verify(),
+                (Fraction(0), (2 * 675 + 1) ** 2 - 48 * 175**2, 1),
+            ),
         )
     else:
         raise ValueError(f"no negative control for suite {suite!r}")
-    rep = compare_series_report("negative_control", {"suite": suite}, lhs, rhs, T, started)
-    return rep
+    return rows.add("negative_control", {"suite": suite}, ("", lhs, rhs))
 
 
 # -- the CLI-facing registry -------------------------------------------------------------------
@@ -753,9 +676,8 @@ def run_suite(
 def search_regression(trunc=Fraction(20)) -> list[VerificationReport]:
     """Regression form of the search harness: pools holding known identities
     must return them (and only them)."""
-    trunc = _fraction(trunc)
-    started = time.perf_counter()
-    rels1 = search_relations(idp1_pool(trunc))
+    rows = ReportBuilder(trunc)
+    rels1 = search_relations(idp1_pool(rows.trunc))
     want = [
         {"L1": 1, "R11": -1, "R12": 1},
         {"L2": 1, "R21": -1, "R22": 1},
@@ -765,23 +687,8 @@ def search_regression(trunc=Fraction(20)) -> list[VerificationReport]:
     ok1 = len(rels1) == 3 and all(
         w in got or {k: -v for k, v in w.items()} in got for w in want
     )
-    rep1 = VerificationReport(
-        name="search",
-        params={"pool": "idp1", "relations": len(rels1)},
-        trunc=trunc,
-        passed=ok1,
-        first_mismatch=None,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-    )
-    started = time.perf_counter()
-    rels2 = search_relations(id24_pool(trunc))
+    rows.add("search", {"pool": "idp1", "relations": len(rels1)}, ("", ok1, None))
+    rels2 = search_relations(id24_pool(rows.trunc))
     ok2 = len(rels2) == 1 and sorted(rels2[0]["coeffs"]) == ["L", "VV1", "VV2"]
-    rep2 = VerificationReport(
-        name="search",
-        params={"pool": "id24", "relations": len(rels2)},
-        trunc=trunc,
-        passed=ok2,
-        first_mismatch=None,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-    )
-    return [rep1, rep2]
+    rows.add("search", {"pool": "id24", "relations": len(rels2)}, ("", ok2, None))
+    return rows.reports

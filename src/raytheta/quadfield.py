@@ -732,16 +732,34 @@ def enumerate_ideals(
     return [I for _, _, I in decorated]
 
 
+def _reduced_form(I: QIdeal) -> tuple[int, int, int]:
+    """The reduced form (A, B, C) of I's ideal class.
+
+    The form is N(x a + y (b + c w)) / N(L) on the oriented HNF basis of the
+    integral lattice L = q I, reduced so that |B| <= A <= C, with B >= 0 when
+    A = C.  Two ideals have the same reduced form exactly when they lie in
+    the same ideal class.
+    """
+    fld, n = I.field, I.a * I.c
+    A, C = I.a * I.a // n, fld.norm_xy(I.b, I.c) // n
+    B = fld.norm_xy(I.a + I.b, I.c) // n - A - C
+    while True:
+        r = (A - B) // (2 * A)
+        B, C = B + 2 * r * A, A * r * r + B * r + C
+        if A <= C:
+            return (A, -B, C) if A == C and B < 0 else (A, B, C)
+        A, B, C = C, -B, A
+
+
 def class_group_reps(fld: Field) -> list[QIdeal]:
     """One integral ideal per ideal class, the first of each in enumeration
     order.  Every class holds a reduced form (A, B, C) with |B| <= A <= C,
     hence an ideal of norm A <= sqrt(|disc| / 3)."""
     bound = isqrt(abs(fld.disc) // 3) + 1
-    reps: list[QIdeal] = []
+    reps: dict[tuple[int, int, int], QIdeal] = {}
     for I in enumerate_ideals(fld, bound):
-        if not any(is_principal(I.mul(J.conj())) for J in reps):
-            reps.append(I)
-    return reps
+        reps.setdefault(_reduced_form(I), I)
+    return list(reps.values())
 
 
 def class_number(fld: Field) -> int:

@@ -28,6 +28,7 @@ from .quadfield import (
     _extgcd,
     _is_prime,
     _prime_divides,
+    _reduced_form,
     class_number,
     enumerate_ideals,
     factor_ideal,
@@ -141,25 +142,6 @@ def in_k1f(lam: QuadInt, mu: QuadInt, F: Conductor) -> bool:
             raise NotCoprimeError("quotient is not prime to the conductor")
     H = Il.add(Im)
     return (lam - mu) in F.ideal.mul(H)
-
-
-def _reduced_form(I: QIdeal) -> tuple[int, int, int]:
-    """The reduced form (A, B, C) of I's ideal class.
-
-    The form is N(x a + y (b + c w)) / N(L) on the oriented HNF basis of the
-    integral lattice L = q I, reduced so that |B| <= A <= C, with B >= 0 when
-    A = C.  Two ideals have the same reduced form exactly when they lie in
-    the same ideal class.
-    """
-    fld, n = I.field, I.a * I.c
-    A, C = I.a * I.a // n, fld.norm_xy(I.b, I.c) // n
-    B = fld.norm_xy(I.a + I.b, I.c) // n - A - C
-    while True:
-        r = (A - B) // (2 * A)
-        B, C = B + 2 * r * A, A * r * r + B * r + C
-        if A <= C:
-            return (A, -B, C) if A == C and B < 0 else (A, B, C)
-        A, B, C = C, -B, A
 
 
 def _ideals_prime_to(fld: Field, M: QIdeal):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qseries import QSeries, equals_to_order
+from .qseries import _fraction, equals_to_order
 
 
 @dataclass(frozen=True)
@@ -55,23 +55,34 @@ def _jsonable(v):
     return v
 
 
-def compare_series_report(
-    name: str,
-    params: dict,
-    lhs: QSeries,
-    rhs: QSeries,
-    order,
-    started: float,
-    notes: str = "",
-) -> VerificationReport:
-    order = Fraction(order)
-    ok, mismatch = equals_to_order(lhs, rhs, order)
-    return VerificationReport(
-        name=name,
-        params=params,
-        trunc=order,
-        passed=ok,
-        first_mismatch=mismatch,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-        notes=notes,
-    )
+class ReportBuilder:
+    """The report rows of one call, all at one truncation.
+
+    Each row is timed from the end of the previous row (the first from the
+    builder's creation), so no second is counted twice.
+    """
+
+    def __init__(self, trunc) -> None:
+        self.trunc = _fraction(trunc)
+        self.reports: list[VerificationReport] = []
+        self._mark = time.perf_counter()
+
+    def add(self, name: str, params: dict, *checks) -> VerificationReport:
+        """Append one row; it passes when every check passes.
+
+        A check is (label, lhs, rhs) for two series compared to the
+        truncation, or (label, ok, mismatch) for a verdict found otherwise.
+        The first failing check gives the row its first mismatch and, as its
+        label, its notes.
+        """
+        passed, notes, first = True, "", None
+        for label, x, y in checks:
+            ok, mismatch = (x, y) if isinstance(x, bool) else equals_to_order(x, y, self.trunc)
+            if passed and not ok:
+                passed, notes, first = False, label, mismatch
+        now = time.perf_counter()
+        ms = (now - self._mark) * 1000.0
+        self._mark = now
+        report = VerificationReport(name, params, self.trunc, passed, first, ms, notes)
+        self.reports.append(report)
+        return report

@@ -1,6 +1,7 @@
 """Coset thetas against the series oracle, and the two reduction theorems."""
 
 import random
+from math import isqrt
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from raytheta.bridge import (
     split_coset,
     theta_coset_raw,
 )
-from raytheta.qseries import equals_to_order, theta_gen
+from raytheta.qseries import QSeries, equals_to_order, theta_gen
 from raytheta.quadfield import field, ideal_from_gens, principal_ideal, split_prime
 from raytheta.rayclass import (
     CharacterPsi,
@@ -249,6 +250,36 @@ def test_bridge_identity_randomized():
 
 
 # -- decomposition ------------------------------------------------------------------
+
+
+def test_rank2_coset_matches_brute_force():
+    # both field bases: w = sqrt(D), and w = (1 + sqrt(D)) / 2 for D = 1 mod 4
+    rng = random.Random(31)
+    done = 0
+    while done < 60:
+        k = rng.choice([K1, K2, field(-3), field(-7), field(-15)])
+        (a1, a2), (b1, b2) = cols = [
+            (F(rng.randint(-3, 3), rng.choice([1, 2])), F(rng.randint(-3, 3), rng.choice([1, 2])))
+            for _ in range(2)
+        ]
+        det = abs(a1 * b2 - a2 * b1)
+        if det == 0:
+            continue
+        ox, oy = off = (F(rng.randint(-4, 4), 3), F(rng.randint(-4, 4), 2))
+        d, T = F(rng.randint(1, 4), rng.randint(1, 2)), F(rng.randint(0, 8), rng.randint(1, 2))
+        # N(x + y w) >= (x^2 + y^2) / 2 bounds |x|, |y| by r; the inverse basis bounds i, j
+        r = isqrt(int(2 * d * T)) + 1
+        I = int((abs(b2) * (r + abs(ox)) + abs(b1) * (r + abs(oy))) / det) + 1
+        J = int((abs(a1) * (r + abs(oy)) + abs(a2) * (r + abs(ox))) / det) + 1
+        terms = {}
+        for i in range(-I, I + 1):
+            for j in range(-J, J + 1):
+                x, y = ox + i * a1 + j * b1, oy + i * a2 + j * b2
+                e = k.norm_xy(x, y) / d
+                if e <= T:
+                    terms[e] = terms.get(e, 0) + 1
+        assert theta_coset_raw(k, off, cols, d, T) == QSeries.from_exponents(terms, T), (k.D, off, cols, d, T)
+        done += 1
 
 
 def test_decompose_identity_index():

@@ -26,7 +26,11 @@ from raytheta.identities import (
     verify_id2,
     verify_relations55,
 )
-from raytheta.qseries import equals_to_order, eta, series_sum, v_func
+from raytheta.bridge import coset_theta_direct, decompose_coset, product_to_coset, theta_coset_raw
+from raytheta.qseries import equals_to_order, eta, series_sum, theta_lincomb, v_func
+from raytheta.quadfield import field
+from raytheta.rayclass import conductor_of, ray_class, ray_theta
+from raytheta.report import ReportBuilder
 
 
 def test_id1_all_pass():
@@ -287,22 +291,42 @@ def test_sec54_stable_at_raised_truncation():
     assert all(r.passed for r in verify_sec54(F(6)))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: verify_id1(6.0),
-        lambda: verify_id2(6.0),
-        lambda: _VCache(6.0),
-        lambda: consolidate(99, 6, 1, 1, 242, 10.0),
-        lambda: run_suite("id2", 0.1),
-        lambda: run_suite("pell", 1.0),
-        lambda: search_regression(16.0),
-        lambda: negative_control("id1", 8.0),
-        lambda: thm51_check(1, 1, 0, 4.0),
-        lambda: verify_relations55(8.0),
-    ],
-    ids=["id1", "id2", "vcache", "consolidate", "run_suite", "run_suite_pell", "search", "negative_control", "thm51", "relations55"],
-)
+def _ray_class_4p2():
+    return ray_class(1, conductor_of(field(-2).elem(0, 4)))
+
+
+GAUSS_BASIS = [(1, 0), (0, 1)]
+
+# public entry points that take a truncation, scale, coefficient or coordinate
+FLOAT_CALLS = {
+    "id1": lambda: verify_id1(6.0),
+    "id2": lambda: verify_id2(6.0),
+    "vcache": lambda: _VCache(6.0),
+    "consolidate": lambda: consolidate(99, 6, 1, 1, 242, 10.0),
+    "run_suite": lambda: run_suite("id2", 0.1),
+    "run_suite_pell": lambda: run_suite("pell", 1.0),
+    "search": lambda: search_regression(16.0),
+    "negative_control": lambda: negative_control("id1", 8.0),
+    "thm51": lambda: thm51_check(1, 1, 0, 4.0),
+    "relations55": lambda: verify_relations55(8.0),
+    "report_builder": lambda: ReportBuilder(2.5),
+    "theta_lincomb_trunc": lambda: theta_lincomb([(1, 1)], 6, 2.0),
+    "theta_lincomb_coeff": lambda: theta_lincomb([(1.0, 1)], 6, 2),
+    "ray_theta_both": lambda: ray_theta(_ray_class_4p2(), 16.0, 2.5),
+    "ray_theta_trunc": lambda: ray_theta(_ray_class_4p2(), 16, 2.5),
+    "ray_theta_scale": lambda: ray_theta(_ray_class_4p2(), 16.0, 2),
+    "coset_direct_trunc": lambda: coset_theta_direct(product_to_coset(1, 4, 4, 40), 2.5),
+    "coset_raw_scale": lambda: theta_coset_raw(field(-1), (0, 0), GAUSS_BASIS, 2.5, 4),
+    "coset_raw_offset": lambda: theta_coset_raw(field(-1), (0.5, 0), GAUSS_BASIS, 2, 4),
+    "coset_raw_basis": lambda: theta_coset_raw(field(-1), (0, 0), [(1.0, 0), (0, 1)], 2, 4),
+    "coset_raw_rank1": lambda: theta_coset_raw(field(-1), (0, 0), [(2, 0.0)], 2, 4),
+    "decompose_offset": lambda: decompose_coset(field(-1), (0.5, 0), GAUSS_BASIS, [(2, 0), (0, 2)]),
+    "decompose_sublattice": lambda: decompose_coset(field(-1), (0, 0), GAUSS_BASIS, [(2.0, 0), (0, 2)]),
+    "decompose_rank1": lambda: decompose_coset(field(-1), (0, 0), [(1, 0.0)], [(3, 0)]),
+}
+
+
+@pytest.mark.parametrize("call", list(FLOAT_CALLS.values()), ids=list(FLOAT_CALLS))
 def test_identities_reject_float_truncations(call):
     with pytest.raises(TypeError):
         call()

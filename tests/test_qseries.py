@@ -174,13 +174,6 @@ def test_theta_gen_matches_brute_force(ell, k, T):
     assert theta_gen(ell, k, T) == brute_theta(ell, k, T)
 
 
-def test_theta_lincomb_rejects_floats():
-    with pytest.raises(TypeError):
-        theta_lincomb([(1, 1)], 6, 2.0)
-    with pytest.raises(TypeError):
-        theta_lincomb([(1.0, 1)], 6, 2)
-
-
 # -- ring operations --------------------------------------------------------
 
 

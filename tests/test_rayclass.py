@@ -487,16 +487,6 @@ def test_ray_theta_partition_law():
         assert ok, mismatch
 
 
-def test_ray_theta_rejects_floats():
-    x = ray_class(1, f4p2())
-    with pytest.raises(TypeError):
-        ray_theta(x, 16.0, 2.5)
-    with pytest.raises(TypeError):
-        ray_theta(x, 16, 2.5)
-    with pytest.raises(TypeError):
-        ray_theta(x, 16.0, 2)
-
-
 def test_ray_theta_rejects_mixed_conductors():
     with pytest.raises(ValueError):
         ClassCombo([(1, ray_class(1, f8())), (1, ray_class(1, conductor_of(K1.elem(4))))])
