@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional, Sequence
 
 from .qseries import QSeries, _fraction
@@ -21,10 +21,12 @@ from .quadfield import (
     Field,
     QIdeal,
     QuadInt,
+    coset_points,
     factor_ideal,
     field,
     hnf2,
     principal_ideal,
+    quad_le_range,
     squarefree_decompose,
 )
 from .rayclass import (
@@ -41,34 +43,6 @@ from .rayclass import (
 from .report import ReportBuilder, VerificationReport
 
 Coords = tuple[Fraction, Fraction]
-
-
-# -- exact quadratic inequalities ------------------------------------------------
-
-
-def quad_le_range(A: int, B: int, C: int) -> Optional[tuple[int, int]]:
-    """Integer solutions of A i^2 + B i + C <= 0 with A > 0, as [lo, hi]."""
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return None
-    r = isqrt(disc)
-    lo = (-B - r) // (2 * A)
-    hi = (-B + r) // (2 * A) + 1
-
-    def ok(i: int) -> bool:
-        return A * i * i + B * i + C <= 0
-
-    while ok(lo - 1):
-        lo -= 1
-    while not ok(lo) and lo <= hi:
-        lo += 1
-    while ok(hi + 1):
-        hi += 1
-    while not ok(hi) and hi >= lo:
-        hi -= 1
-    if lo > hi:
-        return None
-    return lo, hi
 
 
 # -- direct coset enumeration -----------------------------------------------------
@@ -100,13 +74,7 @@ def theta_coset_raw(
     s, (ox, oy), icols = _scale_to_int(offset, cols)
     cap = s * s * d * T
     M = cap.numerator // cap.denominator
-    terms: dict[Fraction, int] = {}
-    s2d = s * s * d
-
-    def put(norm: int) -> None:
-        e = norm / s2d
-        terms[e] = terms.get(e, 0) + 1
-
+    counts: dict[int, int] = {}
     if len(icols) == 1:
         (wx, wy) = icols[0]
         if wx == 0 and wy == 0:
@@ -114,25 +82,14 @@ def theta_coset_raw(
         Aq = fld.norm_xy(wx, wy)
         Bq = fld.norm_xy(ox + wx, oy + wy) - Aq - fld.norm_xy(ox, oy)
         rng = quad_le_range(Aq, Bq, fld.norm_xy(ox, oy) - M)
-        if rng:
-            for i in range(rng[0], rng[1] + 1):
-                put(fld.norm_xy(ox + i * wx, oy + i * wy))
-        return QSeries.from_exponents(terms, T)
-
-    a, b, c = hnf2(icols)
-    # points (ox + i a + j b, oy + j c); the y part depends on j alone, and
-    # 4 N(x, y) = (2x + e y)^2 + delta y^2
-    e, delta = (1, abs(fld.D)) if fld.half_basis else (0, 4 * abs(fld.D))
-    jr = quad_le_range(delta * c * c, 2 * delta * c * oy, delta * oy * oy - 4 * M)
-    if jr:
-        for j in range(jr[0], jr[1] + 1):
-            y = oy + j * c
-            u0 = 2 * (ox + j * b) + e * y
-            ir = quad_le_range(4 * a * a, 4 * a * u0, u0 * u0 + delta * y * y - 4 * M)
-            if ir:
-                for i in range(ir[0], ir[1] + 1):
-                    put(fld.norm_xy(ox + i * a + j * b, y))
-    return QSeries.from_exponents(terms, T)
+        norms = (fld.norm_xy(ox + i * wx, oy + i * wy) for i in range(rng[0], rng[1] + 1)) if rng else ()
+    else:
+        norms = (n for n, _, _ in coset_points(fld, ox, oy, *hnf2(icols), M))
+    for n in norms:
+        counts[n] = counts.get(n, 0) + 1
+    # a point of norm n sits at exponent n / (s^2 d)
+    s2d = s * s * d
+    return QSeries(s2d.numerator, {n * s2d.denominator: k for n, k in counts.items()}, T)
 
 
 def _ideal_cols(J: QIdeal) -> list[Coords]:

@@ -31,6 +31,7 @@ from .rayclass import (
 
 
 _CONFIG_KEYS = ("trunc", "bound", "json")
+_JSON_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _read_config(path: Optional[str]) -> dict:
@@ -53,6 +54,11 @@ def _read_config(path: Optional[str]) -> dict:
             out["bound"] = int(out["bound"])
         except ValueError:
             raise ParseError(f"config key bound={out['bound']!r} is not an integer")
+    if "json" in out:
+        flag = _JSON_VALUES.get(out["json"].lower())
+        if flag is None:
+            raise ParseError(f"config key json={out['json']!r} is not one of {'/'.join(_JSON_VALUES)}")
+        out["json"] = flag
     return out
 
 
@@ -68,7 +74,7 @@ def cmd_verify(args) -> int:
     cfg = _read_config(args.config)
     trunc = args.trunc if args.trunc is not None else cfg.get("trunc")
     bound = args.bound if args.bound is not None else cfg.get("bound")
-    as_json = args.json or cfg.get("json", "").lower() in ("1", "true", "yes")
+    as_json = args.json or cfg.get("json", False)
 
     suites = args.suites or ["id1", "id2", "relations55", "thm51", "consolidate", "pell"]
     unknown = [s for s in suites if s not in identities.SUITE_NAMES]

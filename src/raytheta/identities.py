@@ -148,8 +148,9 @@ def _gauss_conductors():
 def verify_relations55(trunc=Fraction(20), bound: Optional[int] = None) -> list[VerificationReport]:
     """Three theta-difference relations between Q[sqrt(-2)] and Q[i].
 
-    Each line is checked twice: both sides by independent ideal enumeration
-    in their own fields, and the left side against its V-product form.
+    Each line is checked twice: the two sides against each other, each a
+    ray class theta difference summed over lattice cosets in its own field,
+    and the left side against its V-product form.
     """
     rows = ReportBuilder(trunc)
     k2, f4p2, f4 = _sqrt2_conductors()

@@ -117,6 +117,8 @@ class Field:
     __slots__ = ("D", "half_basis", "disc", "omega_norm", "units")
 
     def __init__(self, D: int) -> None:
+        if not isinstance(D, int):
+            raise TypeError("D must be an int")
         if D >= 0 or not is_squarefree(D):
             raise ValueError("D must be a negative squarefree integer")
         self.D = D
@@ -167,6 +169,8 @@ class Field:
         return (-1, 2) if self.half_basis else (0, 1)
 
     def elem(self, x: int, y: int = 0) -> "QuadInt":
+        if not (isinstance(x, int) and isinstance(y, int)):
+            raise TypeError("element coordinates must be ints")
         return QuadInt(self, x, y)
 
     @property
@@ -182,6 +186,8 @@ _FIELDS: dict[int, Field] = {}
 
 
 def field(D: int) -> Field:
+    if not isinstance(D, int):
+        raise TypeError("D must be an int")
     if D not in _FIELDS:
         _FIELDS[D] = Field(D)
     return _FIELDS[D]
@@ -636,6 +642,58 @@ def is_principal(I: QIdeal) -> Optional[tuple[QuadInt, int]]:
     if g.norm() == I.a * I.c:
         return g, I.q
     return None
+
+
+# -- lattice points --------------------------------------------------------------
+
+
+def quad_le_range(A: int, B: int, C: int) -> Optional[tuple[int, int]]:
+    """Integer solutions of A i^2 + B i + C <= 0 with A > 0, as [lo, hi]."""
+    disc = B * B - 4 * A * C
+    if disc < 0:
+        return None
+    r = isqrt(disc)
+    lo = (-B - r) // (2 * A)
+    hi = (-B + r) // (2 * A) + 1
+
+    def ok(i: int) -> bool:
+        return A * i * i + B * i + C <= 0
+
+    while ok(lo - 1):
+        lo -= 1
+    while not ok(lo) and lo <= hi:
+        lo += 1
+    while ok(hi + 1):
+        hi += 1
+    while not ok(hi) and hi >= lo:
+        hi -= 1
+    if lo > hi:
+        return None
+    return lo, hi
+
+
+def coset_points(fld: Field, ox: int, oy: int, a: int, b: int, c: int, bound: int):
+    """Points of the coset (ox, oy) + (a Z + (b + c w) Z) of norm <= bound,
+    as (norm, x, y) with x + y w the point.
+
+    A point is (ox + i a + j b, oy + j c), so y depends on j alone, and
+    4 N(x, y) = (2x + e y)^2 + delta y^2; both index ranges are exact
+    integer solutions of quadratic inequalities.
+    """
+    e, delta = (1, -fld.D) if fld.half_basis else (0, -4 * fld.D)
+    jr = quad_le_range(delta * c * c, 2 * delta * c * oy, delta * oy * oy - 4 * bound)
+    if not jr:
+        return
+    for j in range(jr[0], jr[1] + 1):
+        y = oy + j * c
+        x0 = ox + j * b
+        u0 = 2 * x0 + e * y
+        dy = delta * y * y
+        ir = quad_le_range(4 * a * a, 4 * a * u0, u0 * u0 + dy - 4 * bound)
+        if ir:
+            for i in range(ir[0], ir[1] + 1):
+                u = u0 + 2 * a * i
+                yield (u * u + dy) >> 2, x0 + a * i, y
 
 
 # -- enumeration ---------------------------------------------------------------

@@ -3,8 +3,7 @@
 The pieces here: the ray class group of a conductor F with an explicit label
 for every class, Chinese-remainder component notation for classes of
 principal ideals, the quadratic character a partner field induces on ray
-classes, the skew class sets it splits into, and theta series summed over the
-integral ideals of a class.
+classes, the skew class sets it splits into, and theta series of classes.
 
 An ideal I prime to F is labelled (j, rho): R_j is the ideal class
 representative (prime to F conj(F)) with I conj(R_j) = (alpha), and rho is
@@ -13,12 +12,15 @@ complete invariant of the ray class, found with one principality test.  The
 group order h phi(F) / [O* : O*_{F,1}] is known in advance (Cohen, Advanced
 Topics in Computational Number Theory, ch. 3-4), so the skew class sets are
 read off the whole group once prime ideals have generated that many classes.
+The integral ideals of a class are the multiples of conj(R_j)^-1 by the
+nonzero points of one lattice coset, so its theta series is a lattice sum and
+its smallest ideal comes from a shortest point; no ideal is enumerated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .quadfield import (
@@ -30,6 +32,7 @@ from .quadfield import (
     _prime_divides,
     _reduced_form,
     class_number,
+    coset_points,
     enumerate_ideals,
     factor_ideal,
     field,
@@ -41,7 +44,7 @@ from .quadfield import (
     split_prime,
     valuation,
 )
-from .qseries import QSeries, _fraction
+from .qseries import ExactDivisionError, QSeries, _fraction
 
 
 class NotCoprimeError(ValueError):
@@ -184,7 +187,8 @@ class RayClassGroup:
         for P, e in F.factors.items():
             n = int(P.norm())
             self.phi *= n ** (e - 1) * (n - 1)
-        self.order = h * self.phi * units_mod_conductor(F)[1] // len(fld.units)
+        self.w = units_mod_conductor(F)[1]
+        self.order = h * self.phi * self.w // len(fld.units)
         self._table: dict[tuple, tuple] = {}
         for i in range(h):
             for j in range(h):
@@ -194,8 +198,7 @@ class RayClassGroup:
                 nk = self._reduce(int(reps[k].norm()), 0)
                 self._table[i, j] = k, self._mul_res(nk, self._inv_res(self._reduce(t.x, t.y)))
         self.one = 0, self._canon(self._reduce(1, 0))
-        self._first: dict[tuple, QIdeal] = {}
-        self._scan = _ideals_prime_to(fld, F.ideal)
+        self._lattices: dict[int, tuple] = {}
 
     # residues modulo F, as reduced coordinates (x mod a, y mod c)
     def _reduce(self, x: int, y: int) -> tuple[int, int]:
@@ -270,14 +273,40 @@ class RayClassGroup:
                 x, xd = self.mul(x, g), mul_data(xd, gd)
         return elems
 
+    def coset(self, x: tuple) -> tuple[int, tuple[int, int, int, int, int]]:
+        """N(R_j) and the coset (ox, oy, a, b, c) = rho e + conj(R_j) F of the
+        class x = (j, rho), with e = 1 mod F and e = 0 mod conj(R_j).
+
+        The nonzero points alpha of the coset give the integral ideals
+        (alpha) conj(R_j)^-1 of the class, each from w_F of them, and
+        N(alpha) = N(I) N(R_j).  The coset holds 0 exactly when F = O.
+        """
+        j, (rx, ry) = x
+        if j not in self._lattices:
+            M = self._conj[j]
+            L = M.mul(self.conductor.ideal)
+            e = idempotent_for(self.conductor.ideal, M)
+            self._lattices[j] = int(M.norm()), (e.x, e.y), (L.a, L.b, L.c)
+        nR, (ex, ey), (a, b, c) = self._lattices[j]
+        ox, oy = self.field.mul_xy(rx, ry, ex, ey)
+        k, oy = divmod(oy, c)
+        return nR, ((ox - k * b) % a, oy, a, b, c)
+
     def canonical(self, x: tuple) -> QIdeal:
-        """Smallest-norm integral ideal of the class x, ties broken by HNF order."""
-        while x not in self._first:
-            if len(self._first) == self.order:
-                raise NotCoprimeError("not the label of a ray class prime to the conductor")
-            I = next(self._scan)
-            self._first.setdefault(self.label(I), I)
-        return self._first[x]
+        """Smallest-norm integral ideal of the class x, ties broken by HNF order.
+
+        Its generators times conj(R_j) are the nonzero points of least norm
+        of the class's coset, found under a bound that starts at the norm of
+        the coset's lattice and grows fourfold.
+        """
+        _, (ox, oy, a, b, c) = self.coset(x)
+        bound = a * c
+        while not (pts := [p for p in coset_points(self.field, ox, oy, a, b, c, bound) if p[0]]):
+            bound *= 4
+        least = min(n for n, _, _ in pts)
+        Rinv = self._conj[x[0]].inverse()
+        ideals = (principal_ideal(self.field.elem(px, py)).mul(Rinv) for n, px, py in pts if n == least)
+        return min(ideals, key=lambda I: I.key)
 
 
 def same_ray_class(I: QIdeal, J: QIdeal, F: Conductor) -> bool:
@@ -688,7 +717,13 @@ def _as_combo(W: ComboLike) -> ClassCombo:
 
 
 def ray_theta(W: ComboLike, d, trunc) -> QSeries:
-    """Theta series sum_x n_x sum_{I in x integral, N(I) <= d*trunc} q^(N(I)/d)."""
+    """Theta series sum_x n_x sum_{I in x integral, N(I) <= d*trunc} q^(N(I)/d).
+
+    Each class is summed over its lattice coset (RayClassGroup.coset): a
+    point alpha stands for the ideal (alpha) conj(R_j)^-1 at exponent
+    N(alpha) / (d N(R_j)), and every ideal is reached by w_F points, so the
+    summed coefficients are divided by w_F exactly.
+    """
     combo = _as_combo(W)
     d = _fraction(d)
     T = _fraction(trunc)
@@ -699,11 +734,19 @@ def ray_theta(W: ComboLike, d, trunc) -> QSeries:
     coeffs: dict[tuple, int] = {}
     for c, x in combo.terms:
         coeffs[x.label] = coeffs.get(x.label, 0) + c
-    cap = d * T
-    terms: dict[Fraction, int] = {}
-    for I in enumerate_ideals(F.field, cap.numerator // cap.denominator, coprime_to=F.ideal):
-        total = coeffs.get(G.label(I))
-        if total:
-            e = int(I.norm()) / d
-            terms[e] = terms.get(e, 0) + total
-    return QSeries.from_exponents(terms, T)
+    cosets = [(G.coset(x), c) for x, c in coeffs.items() if c]
+    # exponents N(alpha) / (d N(R_j)) over the one denominator d * L
+    L = lcm(*(nR for (nR, _), _ in cosets))
+    terms: dict[int, int] = {}
+    for (nR, coset), c in cosets:
+        cap = d * T * nR
+        scale = d.denominator * (L // nR)
+        for n, _, _ in coset_points(F.field, *coset, cap.numerator // cap.denominator):
+            if n:
+                k = n * scale
+                terms[k] = terms.get(k, 0) + c
+    for k, c in terms.items():
+        terms[k], r = divmod(c, G.w)
+        if r:
+            raise ExactDivisionError(f"coefficient {c} of a coset sum is not divisible by w_F = {G.w}")
+    return QSeries(d.numerator * L, terms, T)

@@ -67,7 +67,7 @@ def test_criterion_2_id2_at_q20():
 
 
 def test_criterion_3_relations55():
-    # trunc 20 enumerates ideal norms to 320/320/160, covering 160 per side;
+    # trunc 20 reaches ideal norms 320/320/160, covering 160 per side;
     # each line also checks the V-product form of its left side
     reports = verify_relations55(F(20))
     norms = [int(r.params["d"] * 20) for r in reports]

@@ -89,9 +89,11 @@ def test_parse_class_spec_products():
         (["verify", "id1"], "jobs=2\n", 2),
         (["verify", "id1"], "cache=skew-sets\n", 2),
         (["verify", "id1"], "bound=abc\n", 2),
+        (["verify", "id1"], "json=ture\n", 2),
         (["verify", "sec54", "--bound", "10"], None, 3),
     ],
-    ids=["pass", "fail", "jobs_flag", "unknown_suite", "config_typo", "config_jobs", "config_cache", "config_bound", "closure"],
+    ids=["pass", "fail", "jobs_flag", "unknown_suite", "config_typo", "config_jobs", "config_cache", "config_bound",
+         "config_json", "closure"],
 )
 def test_verify_exit_codes(argv, config, code, tmp_path, capsys):
     # 0 all passed, 1 a comparison failed, 2 bad usage, 3 a certificate failure
@@ -134,6 +136,15 @@ def _strip_timing(text):
     for row in rows:
         row.pop("wall_time_ms")
     return rows
+
+
+@pytest.mark.parametrize("value,as_json", [("YES", True), ("1", True), ("False", False), ("no", False)])
+def test_config_json_values(value, as_json, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"json={value}\ntrunc=2/1\n")
+    assert main(["verify", "id1", "--config", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("[") == as_json
 
 
 def test_verify_json_deterministic(capsys):

@@ -28,7 +28,7 @@ from raytheta.identities import (
 )
 from raytheta.bridge import coset_theta_direct, decompose_coset, product_to_coset, theta_coset_raw
 from raytheta.qseries import equals_to_order, eta, series_sum, theta_lincomb, v_func
-from raytheta.quadfield import field
+from raytheta.quadfield import Field, field
 from raytheta.rayclass import conductor_of, ray_class, ray_theta
 from raytheta.report import ReportBuilder
 
@@ -323,6 +323,10 @@ FLOAT_CALLS = {
     "decompose_offset": lambda: decompose_coset(field(-1), (0.5, 0), GAUSS_BASIS, [(2, 0), (0, 2)]),
     "decompose_sublattice": lambda: decompose_coset(field(-1), (0, 0), GAUSS_BASIS, [(2.0, 0), (0, 2)]),
     "decompose_rank1": lambda: decompose_coset(field(-1), (0, 0), [(1, 0.0)], [(3, 0)]),
+    "field": lambda: field(-7.0),
+    "field_class": lambda: Field(-7.0),
+    "elem_x": lambda: field(-2).elem(1.5, 0),
+    "elem_y": lambda: field(-2).elem(1, 2.0),
 }
 
 

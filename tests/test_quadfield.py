@@ -62,6 +62,15 @@ def test_field_validation():
         field(3)
 
 
+def test_float_field_leaves_cache_exact():
+    # -7.0 == -7 and both hash alike, so a float must be refused before the
+    # field cache is consulted or filled
+    with pytest.raises(TypeError):
+        field(-7.0)
+    k = field(-7)
+    assert type(k.D) is int and type(k.disc) is int and k.disc == -7
+
+
 def test_units_counts():
     assert len(field(-1).units) == 4
     assert len(field(-3).units) == 6

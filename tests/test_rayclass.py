@@ -562,3 +562,173 @@ def test_ray_theta_partition_law_nontrivial_conductor():
     ok, mismatch = equals_to_order(total, QSeries.from_exponents(expect, B), B)
     assert ok, mismatch
     assert len(classes) == 8
+
+
+# -- coset thetas and canonical reps against the ideal enumeration -------------------
+#
+# ray_theta and RayClassGroup.canonical sum over lattice cosets.  The oracles
+# below are their earlier forms: label every integral ideal prime to F in
+# (norm, HNF) order, and sum (or take the first of) those with the wanted label.
+
+_LABELLED: dict = {}
+
+
+def _labelled_ideals(Fc, bound):
+    """(ideal, label) for the integral ideals prime to F of norm <= bound, in
+    (norm, HNF) order; cached per conductor and sliced for smaller bounds."""
+    hit = _LABELLED.get(Fc.key)
+    if hit is None or hit[0] < bound:
+        G = Fc.group
+        hit = _LABELLED[Fc.key] = (
+            bound,
+            [(I, G.label(I)) for I in enumerate_ideals(Fc.field, bound, coprime_to=Fc.ideal)],
+        )
+    return [(I, x) for I, x in hit[1] if I.a * I.c <= bound]
+
+
+def _ray_theta_oracle(W, d, trunc):
+    """The enumeration form of ray_theta."""
+    from raytheta.qseries import QSeries
+
+    combo = ClassCombo([(1, W)]) if isinstance(W, RayClassRef) else W
+    d, T = F(d), F(trunc)
+    coeffs: dict = {}
+    for c, x in combo.terms:
+        coeffs[x.label] = coeffs.get(x.label, 0) + c
+    cap = d * T
+    terms: dict = {}
+    for I, x in _labelled_ideals(combo.conductor, cap.numerator // cap.denominator):
+        if coeffs.get(x):
+            e = F(I.a * I.c) / d
+            terms[e] = terms.get(e, 0) + coeffs[x]
+    return QSeries.from_exponents(terms, T)
+
+
+def _canonical_oracle(Fc, labels):
+    """The first ideal of each label in (norm, HNF) order."""
+    first: dict = {}
+    bound = 64
+    while not set(labels) <= set(first):
+        for I, x in _labelled_ideals(Fc, bound):
+            first.setdefault(x, I)
+        bound *= 4
+    return {x: first[x] for x in labels}
+
+
+def _assert_matches_oracle(W, d, trunc):
+    got, want = ray_theta(W, d, trunc), _ray_theta_oracle(W, d, trunc)
+    assert (got.denom, got.terms, got.trunc) == (want.denom, want.terms, want.trunc)
+    return got
+
+
+def _suite_ray_theta_calls(monkeypatch):
+    """Every ray_theta call the relations55, sec54 and thm51 suites make, as
+    (combo, d) pairs."""
+    import raytheta.bridge as bridge
+    import raytheta.identities as ids
+
+    calls = []
+
+    def record(W, d, trunc):
+        calls.append((W, d))
+        return ray_theta(W, d, trunc)
+
+    monkeypatch.setattr(ids, "ray_theta", record)
+    monkeypatch.setattr(bridge, "ray_theta", record)
+    ids.verify_relations55(F(2))
+    ids.verify_sec54(F(1))
+    for a in (1, 5, 13):
+        for eps in (0, 1):
+            for r in range(1, 16, 2):
+                if a != 1 or r % 5:  # r must be prime to p = 5 when a = 1
+                    ids.thm51_check(a, r, eps, F(1, 2))
+    return calls
+
+
+def test_ray_theta_matches_oracle_on_suite_classes(monkeypatch):
+    calls = _suite_ray_theta_calls(monkeypatch)
+    assert len(calls) == 3 * 2 + 4 * 2 + 2 * 6 + 2 * 2 * 8
+    classes = {}
+    for W, d in calls:
+        _assert_matches_oracle(W, d, 60)
+        for _, x in ClassCombo([(1, W)]).terms if isinstance(W, RayClassRef) else W.terms:
+            classes[x.conductor.key, x.label, d] = x, d
+    # each class on its own too, so that no error cancels inside a combination
+    assert len(classes) > 100
+    for x, d in classes.values():
+        _assert_matches_oracle(x, d, 60)
+
+
+def test_ray_theta_matches_oracle_on_round_trip_classes():
+    from raytheta.bridge import coset_to_rayclass, product_to_coset
+
+    # the (k, ell, r, s) products of the theta_deep benchmark's round trips
+    bases = [
+        (4, 40, 1, 4), (8, 20, 7, 3), (3, 30, 5, 3), (4, 10, 8, 1), (20, 24, 5, 4),
+        (9, 30, 7, 4), (12, 40, 1, 5), (15, 18, 8, 4), (6, 9, 7, 3), (8, 12, 5, 7),
+        (4, 24, 2, 8), (3, 18, 5, 6), (2, 10, 5, 6), (4, 20, 7, 6), (3, 15, 2, 6),
+        (4, 8, 3, 2), (2, 4, 5, 1), (4, 4, 7, 1), (3, 3, 3, 5), (2, 2, 2, 2),
+    ]
+    for k, ell, r, s in bases:
+        spec = coset_to_rayclass(product_to_coset(r, k, s, ell))
+        assert not _assert_matches_oracle(spec.ray_class, spec.scale, 60).is_zero()
+
+
+@pytest.mark.parametrize("D", [-5, -23])
+def test_ray_theta_matches_oracle_trivial_conductor(D):
+    # F = O: the coset of each class is the ideal conj(R_j) itself, 0 included
+    k = field(D)
+    F1 = Conductor(k.maximal_order)
+    reps = class_group_reps(k)
+    assert len(reps) > 1
+    for R in reps:
+        _assert_matches_oracle(RayClassRef(R, F1), 1, 300)
+        _assert_matches_oracle(RayClassRef(R.conj(), F1), 7, 40)
+    _assert_matches_oracle(ClassCombo([(3, RayClassRef(R, F1)) for R in reps]), 1, 300)
+
+
+def test_ray_theta_matches_oracle_on_random_classes():
+    rng = random.Random(11)
+    for Fc in _label_conductors() + CONDUCTOR_POOL:
+        refs = [RayClassRef(_random_coprime_ideal(rng, Fc.field, Fc), Fc) for _ in range(4)]
+        for x in refs:
+            _assert_matches_oracle(x, 1, 200)
+        combo = ClassCombo([(rng.randint(-3, 3) or 1, x) for x in refs])
+        _assert_matches_oracle(combo.times(refs[0].inv()), F(5, 2), 60)
+
+
+def test_ray_theta_refuses_inexact_division(monkeypatch):
+    # every ideal of Q[i] is reached by its four generators; one point too
+    # many leaves a coefficient that w_F = 4 does not divide
+    import raytheta.rayclass as rc
+    from raytheta.qseries import ExactDivisionError
+
+    real = rc.coset_points
+
+    def one_extra(*args):
+        pts = list(real(*args))
+        return pts + [p for p in pts if p[0]][:1]
+
+    monkeypatch.setattr(rc, "coset_points", one_extra)
+    with pytest.raises(ExactDivisionError):
+        ray_theta(RayClassRef(K1.maximal_order, Conductor(K1.maximal_order)), 1, 10)
+
+
+@pytest.mark.parametrize("data", [_sqrt30_data, _sqrt10_data], ids=["sqrt-30", "sqrt-10"])
+def test_canonical_matches_oracle_on_whole_sec54_groups(data):
+    Fc = data()[1]
+    G = Fc.group
+    labels = list(G.span(((G.label(P), None) for P in G.primes()), None, lambda x, y: None))
+    assert len(labels) == G.order
+    want = _canonical_oracle(Fc, labels)
+    for x in labels:
+        assert G.canonical(x) == want[x], x
+
+
+def test_canonical_matches_oracle_on_sampled_classes():
+    rng = random.Random(23)
+    for Fc in _label_conductors() + CONDUCTOR_POOL:
+        labels = {Fc.group.label(_random_coprime_ideal(rng, Fc.field, Fc)) for _ in range(12)}
+        want = _canonical_oracle(Fc, labels)
+        for x in labels:
+            assert Fc.group.canonical(x) == want[x], (Fc, x)
