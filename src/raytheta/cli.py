@@ -13,6 +13,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional
 
 from . import identities
@@ -31,7 +32,7 @@ from .rayclass import (
 
 
 _CONFIG_KEYS = ("trunc", "bound", "json")
-_JSON_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_JSON_VALUES = MappingProxyType({"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False})
 
 
 def _read_config(path: Optional[str]) -> dict:

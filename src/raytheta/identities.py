@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 from .bridge import cross_field_sides
@@ -329,6 +330,8 @@ def pell_levels(count: int) -> list[PellSolution]:
     re-verified by exact arithmetic.  The degenerate m = 3 (c = 1) solution
     is skipped.
     """
+    if not isinstance(count, int):
+        raise TypeError("count must be an int")
     if count < 1:
         raise ValueError("count must be positive")
     out: list[PellSolution] = []
@@ -400,12 +403,12 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
     Ap, Sp = compute_skew_sets(chip, Fcp, bound)
     mu = K.elem(1, 2)
     expect_A = [
-        crt_class([(p5, 1), (p3, 1), (f4p2, 1)]),
-        crt_class([(p5, 1), (p3, 1), (f4p2, -1)]),
-        crt_class([(p5, -1), (p3, 1), (f4p2, 3 * mu)]),
-        crt_class([(p5, -1), (p3, 1), (f4p2, (-3) * mu)]),
+        crt_class([(p5, 1), (p3, 1), (f4p2, 1)], Fc),
+        crt_class([(p5, 1), (p3, 1), (f4p2, -1)], Fc),
+        crt_class([(p5, -1), (p3, 1), (f4p2, 3 * mu)], Fc),
+        crt_class([(p5, -1), (p3, 1), (f4p2, (-3) * mu)], Fc),
     ]
-    sflip = crt_class([(p5, -1), (p3, 1), (f4p2, 1)])
+    sflip = crt_class([(p5, -1), (p3, 1), (f4p2, 1)], Fc)
     a_ok = len(A) == 4 and all(any(a.same_class(e) for a in A) for e in expect_A)
     s_ok = len(S) == 4 and all(any(s.same_class(a * sflip) for s in S) for a in A)
     rows.add(
@@ -417,9 +420,9 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
     V = _VCache(T)
     d = Fraction(240)
     for s, r, t in SRT_ROWS:
-        gamma_l = crt_class([(p5, s), (p3, 1), (f4p2, 2 - s)])
+        gamma_l = crt_class([(p5, s), (p3, 1), (f4p2, 2 - s)], Fc)
         J = p13.mul(gamma_l.rep)
-        gamma_r = crt_class([(p5p, t), (three, 1), (f4p2p, r)])
+        gamma_r = crt_class([(p5p, t), (three, 1), (f4p2p, r)], Fcp)
         Jp = p13p.mul(gamma_r.rep)
         lhs_theta, rhs_theta = cross_field_sides(-30, -10, Fc, Fcp, J, Jp, d, T, bound)
         rows.add("sec54_cross", {"s": s, "r": r, "t": t, "d": d}, ("", lhs_theta, rhs_theta))
@@ -596,7 +599,7 @@ def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
         K, Fc, p5, p3, f4p2, p13 = _sqrt30_data()
         chi = CharacterPsi(-30, -10)
         A, S = compute_skew_sets(chi, Fc)
-        gamma = crt_class([(p5, 1), (p3, 1), (f4p2, 1)])
+        gamma = crt_class([(p5, 1), (p3, 1), (f4p2, 1)], Fc)
         xJ = RayClassRef(p13.mul(gamma.rep), Fc)
         lhs = ray_theta((ClassCombo.sum_of(A) - ClassCombo.sum_of(S)).times(xJ), 240, T)
         rhs = (V(1, 2) * V(1, 4)).scaled(-2)
@@ -621,7 +624,7 @@ def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
 
 SUITE_NAMES = ["id1", "id2", "relations55", "thm51", "consolidate", "pell", "sec54", "search"]
 
-SUITE_DEFAULT_TRUNC = {
+SUITE_DEFAULT_TRUNC = MappingProxyType({
     "id1": Fraction(20),
     "id2": Fraction(20),
     "relations55": Fraction(20),
@@ -630,7 +633,7 @@ SUITE_DEFAULT_TRUNC = {
     "pell": Fraction(0),
     "sec54": Fraction(4),
     "search": Fraction(20),
-}
+})
 
 
 def run_suite(

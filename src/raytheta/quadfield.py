@@ -512,6 +512,8 @@ def split_prime(fld: Field, p: int) -> SplitRecord:
     For odd p the number of ideals of norm p is 1 + (D/p); p = 2 is decided
     by the discriminant residue mod 8.
     """
+    if not isinstance(p, int):
+        raise TypeError("p must be an int")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     D = fld.D
@@ -699,9 +701,6 @@ def coset_points(fld: Field, ox: int, oy: int, a: int, b: int, c: int, bound: in
 # -- enumeration ---------------------------------------------------------------
 
 
-_ENUM_CACHE: dict[tuple[int, Optional[tuple]], tuple[int, list]] = {}
-
-
 def _prime_divides(P: QIdeal, F: QIdeal) -> bool:
     """P | F for integral F, tested by lattice containment F <= P."""
     g1, g2 = F.basis()
@@ -715,24 +714,11 @@ def enumerate_ideals(
 
     Built multiplicatively from prime powers, so each ideal appears exactly
     once.  With coprime_to set, prime divisors of that ideal are excluded.
-    Results are cached per (field, coprime_to) and sliced for smaller bounds.
     """
+    if not isinstance(bound, int):
+        raise TypeError("bound must be an int")
     if bound < 1:
         return []
-    ckey = None if coprime_to is None else coprime_to.key
-    cache_key = (fld.D, ckey)
-    hit = _ENUM_CACHE.get(cache_key)
-    if hit and hit[0] >= bound:
-        lst = hit[1]
-        lo, hi = 0, len(lst)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if lst[mid][0] <= bound:
-                lo = mid + 1
-            else:
-                hi = mid
-        return [I for _, _, I in lst[:lo]]
-
     items: list[tuple[int, QIdeal]] = [(1, fld.maximal_order)]
     for p in primes_upto(bound):
         rec = split_prime(fld, p)
@@ -785,9 +771,7 @@ def enumerate_ideals(
         items += [
             (n * np, I.mul(Ip)) for n, I in items for np, Ip in powers if n * np <= bound
         ]
-    decorated = sorted((n, I.key[1:], I) for n, I in items)
-    _ENUM_CACHE[cache_key] = (bound, decorated)
-    return [I for _, _, I in decorated]
+    return [I for _, I in sorted(items, key=lambda t: (t[0], t[1].key))]
 
 
 def _reduced_form(I: QIdeal) -> tuple[int, int, int]:
@@ -810,13 +794,16 @@ def _reduced_form(I: QIdeal) -> tuple[int, int, int]:
 
 
 def class_group_reps(fld: Field) -> list[QIdeal]:
-    """One integral ideal per ideal class, the first of each in enumeration
+    """One integral ideal per ideal class, the least of each in (norm, HNF)
     order.  Every class holds a reduced form (A, B, C) with |B| <= A <= C,
-    hence an ideal of norm A <= sqrt(|disc| / 3)."""
-    bound = isqrt(abs(fld.disc) // 3) + 1
+    hence a primitive ideal [A, b + w] of norm A <= sqrt(|disc| / 3), and
+    the least ideal of a class is primitive (Cohen, GTM 138, 5.3)."""
     reps: dict[tuple[int, int, int], QIdeal] = {}
-    for I in enumerate_ideals(fld, bound):
-        reps.setdefault(_reduced_form(I), I)
+    for A in range(1, isqrt(abs(fld.disc) // 3) + 2):
+        for b in range(A):
+            if fld.norm_xy(b, 1) % A == 0:
+                I = QIdeal(fld, 1, A, b, 1)
+                reps.setdefault(_reduced_form(I), I)
     return list(reps.values())
 
 

@@ -11,10 +11,14 @@ the smallest residue of u alpha modulo F over the units u.  The label is a
 complete invariant of the ray class, found with one principality test.  The
 group order h phi(F) / [O* : O*_{F,1}] is known in advance (Cohen, Advanced
 Topics in Computational Number Theory, ch. 3-4), so the skew class sets are
-read off the whole group once prime ideals have generated that many classes.
+read off the whole group once prime ideals have generated that many classes;
+they are kept on the group, one per conductor object.
 The integral ideals of a class are the multiples of conj(R_j)^-1 by the
 nonzero points of one lattice coset, so its theta series is a lattice sum and
-its smallest ideal comes from a shortest point; no ideal is enumerated.
+its smallest ideal comes from a shortest point.  R_j is found the same way:
+the integral ideals of the class of a reduced-form ideal I are the multiples
+of conj(I)^-1 by the nonzero points of conj(I), and R_j is the least of them
+prime to F conj(F).  No ideal is enumerated.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ from .quadfield import (
     _is_prime,
     _prime_divides,
     _reduced_form,
-    class_number,
+    class_group_reps,
     coset_points,
-    enumerate_ideals,
     factor_ideal,
     field,
     ideal_from_gens,
@@ -147,13 +150,25 @@ def in_k1f(lam: QuadInt, mu: QuadInt, F: Conductor) -> bool:
     return (lam - mu) in F.ideal.mul(H)
 
 
-def _ideals_prime_to(fld: Field, M: QIdeal):
-    """Integral ideals prime to M in (norm, HNF) order, without end."""
-    done, bound = 0, 64
+def _least_ideal(fld: Field, coset: tuple, Minv: QIdeal, ok=None) -> QIdeal:
+    """The least integral ideal (alpha) Minv in (norm, HNF) order, over the
+    nonzero points alpha of the coset (ox, oy, a, b, c), that satisfies ok.
+
+    N(alpha) is N(Minv)^-1 times the ideal's norm, so points are taken by
+    norm; the bound starts at the norm of the coset's lattice and grows
+    fourfold, and ideals are built only for the norm being examined.
+    """
+    done, bound = 0, coset[2] * coset[4]
     while True:
-        for I in enumerate_ideals(fld, bound, coprime_to=M):
-            if I.a * I.c > done:
-                yield I
+        by_norm: dict[int, list] = {}
+        for n, x, y in coset_points(fld, *coset, bound):
+            if n > done:
+                by_norm.setdefault(n, []).append((x, y))
+        for n in sorted(by_norm):
+            ideals = [principal_ideal(QuadInt(fld, x, y)).mul(Minv) for x, y in by_norm[n]]
+            ideals = [I for I in ideals if ok is None or ok(I)]
+            if ideals:
+                return min(ideals, key=lambda I: I.key)
         done, bound = bound, 4 * bound
 
 
@@ -174,14 +189,14 @@ class RayClassGroup:
         fld = self.field = F.field
         self.conductor = F
         self._abc = F.ideal.a, F.ideal.b, F.ideal.c
-        h = class_number(fld)
-        self._index: dict[tuple, int] = {}
-        reps: list[QIdeal] = []
-        for I in _ideals_prime_to(fld, F.ideal.mul(F.ideal.conj())):
-            if self._index.setdefault(_reduced_form(I), len(reps)) == len(reps):
-                reps.append(I)
-                if len(reps) == h:
-                    break
+        # R_j: the least ideal prime to F conj(F) of each class [I], among
+        # the multiples (alpha) conj(I)^-1 of the points alpha of conj(I)
+        ok = F.ideal.mul(F.ideal.conj()).is_coprime
+        conjs = [I.conj() for I in class_group_reps(fld)]
+        reps = [_least_ideal(fld, (0, 0, M.a, M.b, M.c), M.inverse(), ok) for M in conjs]
+        reps.sort(key=lambda R: (R.a * R.c, R.key))
+        h = len(reps)
+        self._index = {_reduced_form(R): j for j, R in enumerate(reps)}
         self._conj = [R.conj() for R in reps]
         self.phi = 1
         for P, e in F.factors.items():
@@ -199,6 +214,7 @@ class RayClassGroup:
                 self._table[i, j] = k, self._mul_res(nk, self._inv_res(self._reduce(t.x, t.y)))
         self.one = 0, self._canon(self._reduce(1, 0))
         self._lattices: dict[int, tuple] = {}
+        self._skew_sets: dict[tuple, tuple] = {}
 
     # residues modulo F, as reduced coordinates (x mod a, y mod c)
     def _reduce(self, x: int, y: int) -> tuple[int, int]:
@@ -299,14 +315,7 @@ class RayClassGroup:
         of the class's coset, found under a bound that starts at the norm of
         the coset's lattice and grows fourfold.
         """
-        _, (ox, oy, a, b, c) = self.coset(x)
-        bound = a * c
-        while not (pts := [p for p in coset_points(self.field, ox, oy, a, b, c, bound) if p[0]]):
-            bound *= 4
-        least = min(n for n, _, _ in pts)
-        Rinv = self._conj[x[0]].inverse()
-        ideals = (principal_ideal(self.field.elem(px, py)).mul(Rinv) for n, px, py in pts if n == least)
-        return min(ideals, key=lambda I: I.key)
+        return _least_ideal(self.field, self.coset(x)[1], self._conj[x[0]].inverse())
 
 
 def same_ray_class(I: QIdeal, J: QIdeal, F: Conductor) -> bool:
@@ -605,9 +614,6 @@ def admissible(chi: CharacterPsi, F: Conductor, chip: CharacterPsi, Fp: Conducto
 # -- skew class sets ------------------------------------------------------------------
 
 
-_AS_CACHE: dict[tuple, tuple] = {}
-
-
 def compute_skew_sets(
     chi: CharacterPsi, F: Conductor, bound: Optional[int] = None
 ) -> tuple[list[RayClassRef], list[RayClassRef]]:
@@ -623,11 +629,10 @@ def compute_skew_sets(
         raise ValueError("the conductor must be self-conjugate")
     if not chi.conductor.divides(F):
         raise ValueError("the conductor must lie inside the character's conductor")
-    cache_key = (chi.D, chi.Dprime, F.key, bound)
-    hit = _AS_CACHE.get(cache_key)
+    G = F.group
+    hit = G._skew_sets.get((chi.Dprime, bound))
     if hit is not None:
         return hit
-    G = F.group
     gens = (
         (G.label(P), (G.label(P.mul(P.conj().inverse())), chi.value(P)))
         for P in G.primes(2 * chi.D * chi.Dprime, bound)
@@ -644,7 +649,7 @@ def compute_skew_sets(
         sorted((RayClassRef(G.canonical(x), F, check=False, label=x) for x in idx), key=RayClassRef.canonical_key)
         for idx in (a_idx, s_idx)
     )
-    _AS_CACHE[cache_key] = out
+    G._skew_sets[chi.Dprime, bound] = out
     return out
 
 

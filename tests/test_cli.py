@@ -300,3 +300,21 @@ def test_verify_bad_family_parameter_exit_two(capsys):
     captured = capsys.readouterr()
     assert "1 mod 4" in captured.err
     assert captured.out == ""
+
+
+def test_bench_trace_targets_resolve():
+    # the benchmark's span tracer wraps these public names; a name removed
+    # from raytheta would make its traced runs fail
+    import types
+    from pathlib import Path
+
+    import raytheta
+    import raytheta.cli
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spans = types.ModuleType("perfbench_spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    targets = spans.targets(raytheta, raytheta.cli)
+    assert targets
+    for name, owner, attr in targets:
+        assert callable(vars(owner).get(attr)), (name, attr)

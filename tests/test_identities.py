@@ -28,7 +28,7 @@ from raytheta.identities import (
 )
 from raytheta.bridge import coset_theta_direct, decompose_coset, product_to_coset, theta_coset_raw
 from raytheta.qseries import equals_to_order, eta, series_sum, theta_lincomb, v_func
-from raytheta.quadfield import Field, field
+from raytheta.quadfield import Field, enumerate_ideals, field, split_prime
 from raytheta.rayclass import conductor_of, ray_class, ray_theta
 from raytheta.report import ReportBuilder
 
@@ -327,6 +327,9 @@ FLOAT_CALLS = {
     "field_class": lambda: Field(-7.0),
     "elem_x": lambda: field(-2).elem(1.5, 0),
     "elem_y": lambda: field(-2).elem(1, 2.0),
+    "split_prime": lambda: split_prime(field(-5), 5.0),
+    "enumerate_ideals": lambda: enumerate_ideals(field(-1), 10.0),
+    "pell_levels": lambda: pell_levels(2.0),
 }
 
 
@@ -334,3 +337,26 @@ FLOAT_CALLS = {
 def test_identities_reject_float_truncations(call):
     with pytest.raises(TypeError):
         call()
+
+
+def test_enumerate_ideals_rejects_float_bound_up_front():
+    # a float bound used to fail inside the prime sieve, with an unrelated
+    # "can't multiply sequence" TypeError
+    with pytest.raises(TypeError, match="bound must be an int"):
+        FLOAT_CALLS["enumerate_ideals"]()
+
+
+def test_sec54_builds_one_group_per_conductor(monkeypatch):
+    import raytheta.identities as ids
+    import raytheta.rayclass as rc
+
+    built = []
+    real = rc.RayClassGroup.__init__
+
+    def counting(self, F):
+        built.append(F.key)
+        real(self, F)
+
+    monkeypatch.setattr(rc.RayClassGroup, "__init__", counting)
+    assert all(r.passed for r in ids.verify_sec54(F(1)))
+    assert sorted(built) == sorted({ids._sqrt30_data()[1].key, ids._sqrt10_data()[1].key})

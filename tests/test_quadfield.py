@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
 from raytheta.quadfield import (
     QIdeal,
+    _reduced_form,
     class_group_reps,
     class_number,
     enumerate_ideals,
@@ -17,6 +19,7 @@ from raytheta.quadfield import (
     ideal_from_gens,
     ideal_product,
     is_principal,
+    is_squarefree,
     legendre,
     principal_ideal,
     split_prime,
@@ -379,13 +382,26 @@ def test_class_numbers(D, h):
 def test_class_group_reps_exact_bound_loses_no_class():
     # the integer bound isqrt(|disc| / 3) + 1 must keep every class: the reps
     # equal the first ideal of each class among all ideals of norm <= |disc|
-    for D in (-1, -2, -3, -5, -6, -10, -14, -21, -23, -30, -47, -71, -89, -105, -163):
+    for D in (-1, -2, -3, -5, -6, -10, -14, -21, -23, -30, -47, -71, -89, -105, -163, -194, -239, -299, -455):
         k = field(D)
         brute = []
         for I in enumerate_ideals(k, abs(k.disc)):
             if not any(is_principal(I.mul(J.conj())) for J in brute):
                 brute.append(I)
         assert class_group_reps(k) == brute
+
+
+def test_class_group_reps_match_enumeration():
+    # the reps come from the primitive ideals of the reduced forms; they must
+    # be the first ideal of each form among all ideals in (norm, HNF) order
+    for D in range(-1, -1000, -1):
+        if not is_squarefree(D):
+            continue
+        k = field(D)
+        first: dict = {}
+        for I in enumerate_ideals(k, isqrt(abs(k.disc) // 3) + 1):
+            first.setdefault(_reduced_form(I), I)
+        assert class_group_reps(k) == list(first.values()), D
 
 
 @pytest.mark.parametrize("D,h", [(-47, 5), (-71, 7), (-89, 12), (-105, 8), (-163, 1)])

@@ -8,11 +8,14 @@ import pytest
 from raytheta.identities import _sqrt10_data, _sqrt30_data
 from raytheta.quadfield import (
     QIdeal,
+    _reduced_form,
     class_group_reps,
+    class_number,
     enumerate_ideals,
     field,
     ideal_from_gens,
     is_principal,
+    is_squarefree,
     principal_ideal,
     split_prime,
 )
@@ -732,3 +735,95 @@ def test_canonical_matches_oracle_on_sampled_classes():
         want = _canonical_oracle(Fc, labels)
         for x in labels:
             assert Fc.group.canonical(x) == want[x], (Fc, x)
+
+
+# -- class-group representatives R_j against their enumeration form ---------------------
+
+
+def _reps_oracle(Fc):
+    """The earlier R_j search: the first ideal of each reduced form among the
+    integral ideals prime to F conj(F), in (norm, HNF) order."""
+    fld, M = Fc.field, Fc.ideal.mul(Fc.ideal.conj())
+    bound = 64
+    while True:
+        reps: dict = {}
+        for I in enumerate_ideals(fld, bound, coprime_to=M):
+            reps.setdefault(_reduced_form(I), I)
+        if len(reps) == class_number(fld):
+            return list(reps.values())
+        bound *= 4
+
+
+def _group_reps(Fc):
+    return [M.conj() for M in Fc.group._conj]
+
+
+def test_class_reps_match_oracle_on_suite_conductors():
+    # the label conductors include both sec54 conductors
+    for Fc in _label_conductors() + CONDUCTOR_POOL:
+        assert _group_reps(Fc) == _reps_oracle(Fc), Fc
+
+
+def test_class_reps_match_oracle_on_field_sweep():
+    n = 0
+    for D in range(-1, -60, -1):
+        if not is_squarefree(D):
+            continue
+        k = field(D)
+        ideals = [principal_ideal(k.elem(m)) for m in range(1, 7)]
+        for p in (2, 3, 5, 7):
+            Ps = split_prime(k, p).primes_above()
+            ideals += Ps + [P.mul(P) for P in Ps]
+        for I in ideals:
+            Fc = Conductor(I)
+            reps = _group_reps(Fc)
+            assert reps[0] == k.maximal_order
+            assert reps == _reps_oracle(Fc), (D, I)
+            n += 1
+    assert n > 500
+
+
+# -- skew sets are kept on the group of one conductor object ---------------------------------
+
+
+def test_skew_sets_kept_per_conductor(monkeypatch):
+    import raytheta.rayclass as rc
+
+    spans = []
+    real = rc.RayClassGroup.span
+
+    def counting(self, *args):
+        spans.append(self.conductor)
+        return real(self, *args)
+
+    monkeypatch.setattr(rc.RayClassGroup, "span", counting)
+    chi = CharacterPsi(-2, -1)
+    Fc = f4p2()
+    first = compute_skew_sets(chi, Fc)
+    assert compute_skew_sets(chi, Fc) is first
+    assert len(spans) == 1
+    fresh = compute_skew_sets(chi, f4p2())
+    assert fresh is not first and len(spans) == 2
+    assert [[x.canonical_key() for x in xs] for xs in fresh] == [[x.canonical_key() for x in xs] for xs in first]
+    # another bound is another set of generator primes
+    compute_skew_sets(chi, Fc, 100)
+    assert len(spans) == 3
+
+
+def test_no_module_level_cache():
+    import importlib
+    import pkgutil
+
+    import raytheta
+
+    found = []
+    for info in pkgutil.iter_modules(raytheta.__path__):
+        module = importlib.import_module(f"raytheta.{info.name}")
+        found += [
+            f"{info.name}.{name}"
+            for name, value in vars(module).items()
+            if isinstance(value, dict) and not name.startswith("__")
+        ]
+    # the interned fields are the one module-level table that grows; constant
+    # tables are read-only mappings
+    assert found == ["quadfield._FIELDS"]
