@@ -39,8 +39,12 @@ def _read_config(path: Optional[str]) -> dict:
     """The key=value lines of a config file; unknown keys are bad usage."""
     if not path:
         return {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read config file {path}: {exc.strerror}")
     out: dict = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#") or "=" not in line:
             continue
@@ -85,45 +89,31 @@ def cmd_verify(args) -> int:
         return 2
 
     reports = []
-    try:
-        for name in suites:
-            reports += identities.run_suite(
-                name,
-                trunc,
-                bound=bound,
-                a=args.a,
-                r=args.r,
-                eps=args.eps,
-                count=args.count,
-                experimental=args.experimental,
-            )
-    except ClosureError as exc:
-        print(f"enumeration failure: {exc}", file=sys.stderr)
-        return 3
-    except SkewOverlapError as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name in suites:
+        reports += identities.run_suite(
+            name,
+            trunc,
+            bound=bound,
+            a=args.a,
+            r=args.r,
+            eps=args.eps,
+            count=args.count,
+            experimental=args.experimental,
+        )
     _emit_reports(reports, as_json)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_dump(args) -> int:
     trunc = args.trunc
-    try:
-        if args.kind == "theta":
-            series = theta_gen(args.ell, args.k, trunc)
-        elif args.kind == "v":
-            series = v_func(args.r, args.m, trunc)
-        elif args.kind == "eta":
-            series = eta(trunc)
-        else:  # rayclass
-            return _dump_rayclass(args)
-    except (ValueError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.kind == "theta":
+        series = theta_gen(args.ell, args.k, trunc)
+    elif args.kind == "v":
+        series = v_func(args.r, args.m, trunc)
+    elif args.kind == "eta":
+        series = eta(trunc)
+    else:  # rayclass
+        return _dump_rayclass(args)
     print(json.dumps(series.to_json_dict(), sort_keys=True))
     return 0
 
@@ -133,33 +123,22 @@ def _dump_rayclass(args) -> int:
         print("rayclass dump needs -D and -F", file=sys.stderr)
         return 2
     fld = field(args.D)
-    try:
-        F = Conductor(parse_conductor_expr(fld, args.F))
-        if args.class_spec is not None:
-            ref = parse_class_spec(fld, args.class_spec, F)
-            out = {
-                "D": args.D,
-                "F": list(F.ideal.key[1:]),
-                "class": list(ref.canonical_key()[1:]),
-                "theta": ray_theta(ref, args.d, args.trunc).to_json_dict(),
-            }
-            print(json.dumps(out, sort_keys=True))
-            return 0
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    F = Conductor(parse_conductor_expr(fld, args.F))
+    if args.class_spec is not None:
+        ref = parse_class_spec(fld, args.class_spec, F)
+        out = {
+            "D": args.D,
+            "F": list(F.ideal.key[1:]),
+            "class": list(ref.canonical_key()[1:]),
+            "theta": ray_theta(ref, args.d, args.trunc).to_json_dict(),
+        }
+        print(json.dumps(out, sort_keys=True))
+        return 0
     if args.Dp is None:
         print("skew-set dump needs --Dp as well", file=sys.stderr)
         return 2
     chi = CharacterPsi(args.D, args.Dp)
-    try:
-        A, S = compute_skew_sets(chi, F, args.bound)
-    except ClosureError as exc:
-        print(f"enumeration failure: {exc}", file=sys.stderr)
-        return 3
-    except SkewOverlapError as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return 2
+    A, S = compute_skew_sets(chi, F, args.bound)
     blob = skew_sets_to_json(chi, F, A, S, args.bound)
     print(json.dumps(blob, sort_keys=True))
     return 0
@@ -249,7 +228,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except ClosureError as exc:
+        print(f"enumeration failure: {exc}", file=sys.stderr)
+        return 3
+    except SkewOverlapError as exc:
+        print(f"not applicable: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

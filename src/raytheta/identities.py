@@ -671,7 +671,7 @@ def run_suite(
     if name == "pell":
         return pell_reports(count)
     if name == "sec54":
-        return verify_sec54(T if trunc is not None else Fraction(4), bound)
+        return verify_sec54(T, bound)
     if name == "search":
         return search_regression(T)
     raise KeyError(name)

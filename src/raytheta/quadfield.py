@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Optional
 
+from .qseries import _fraction
+
 
 # -- rational integer helpers -------------------------------------------------
 
@@ -35,6 +37,8 @@ def is_squarefree(n: int) -> bool:
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division (desk-scale inputs)."""
+    if not isinstance(n, int):
+        raise TypeError("n must be an int")
     n = abs(n)
     out: dict[int, int] = {}
     d = 2
@@ -416,7 +420,7 @@ class QIdeal:
 
     def scaled(self, r: Fraction) -> "QIdeal":
         """The ideal r * I for a positive rational r."""
-        r = Fraction(r)
+        r = _fraction(r)
         if r <= 0:
             raise ValueError("scale must be positive")
         num, den = r.numerator, r.denominator

@@ -12,7 +12,10 @@ complete invariant of the ray class, found with one principality test.  The
 group order h phi(F) / [O* : O*_{F,1}] is known in advance (Cohen, Advanced
 Topics in Computational Number Theory, ch. 3-4), so the skew class sets are
 read off the whole group once prime ideals have generated that many classes;
-they are kept on the group, one per conductor object.
+they are kept on the group, one per conductor object.  A class
+(RayClassRef) is held as its label: products, inverses, reductions and lifts
+run on labels through the group's multiplication table, and no ideal is
+multiplied to combine classes.
 The integral ideals of a class are the multiples of conj(R_j)^-1 by the
 nonzero points of one lattice coset, so its theta series is a lattice sum and
 its smallest ideal comes from a shortest point.  R_j is found the same way:
@@ -104,7 +107,7 @@ class Conductor:
         return int(self.ideal.norm())
 
     def divides(self, other: "Conductor") -> bool:
-        return self.ideal.divides(other.ideal)
+        return all(other.factors.get(P, 0) >= e for P, e in self.factors.items())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Conductor) and self.key == other.key
@@ -123,6 +126,8 @@ def conductor_of(g: Union[QuadInt, QIdeal, int], fld: Optional[Field] = None) ->
         if fld is None:
             raise ValueError("field required for an integer conductor")
         g = fld.elem(g)
+    elif not isinstance(g, QuadInt):
+        raise TypeError("a conductor is an ideal, an element or an int")
     return Conductor(principal_ideal(g))
 
 
@@ -214,6 +219,7 @@ class RayClassGroup:
                 self._table[i, j] = k, self._mul_res(nk, self._inv_res(self._reduce(t.x, t.y)))
         self.one = 0, self._canon(self._reduce(1, 0))
         self._lattices: dict[int, tuple] = {}
+        self._canonical: dict[tuple, QIdeal] = {}
         self._skew_sets: dict[tuple, tuple] = {}
 
     # residues modulo F, as reduced coordinates (x mod a, y mod c)
@@ -313,9 +319,11 @@ class RayClassGroup:
 
         Its generators times conj(R_j) are the nonzero points of least norm
         of the class's coset, found under a bound that starts at the norm of
-        the coset's lattice and grows fourfold.
+        the coset's lattice and grows fourfold.  Kept on the group per class.
         """
-        return _least_ideal(self.field, self.coset(x)[1], self._conj[x[0]].inverse())
+        if x not in self._canonical:
+            self._canonical[x] = _least_ideal(self.field, self.coset(x)[1], self._conj[x[0]].inverse())
+        return self._canonical[x]
 
 
 def same_ray_class(I: QIdeal, J: QIdeal, F: Conductor) -> bool:
@@ -329,24 +337,34 @@ def same_ray_class(I: QIdeal, J: QIdeal, F: Conductor) -> bool:
 
 
 class RayClassRef:
-    """A ray class held as a representative ideal plus its conductor."""
+    """A ray class held as its label in the ray class group of its conductor.
 
-    __slots__ = ("rep", "conductor", "_label")
+    Built from an ideal prime to the conductor, the ideal is labelled at once
+    and kept as rep; a class derived by arithmetic (products, inverses,
+    reduction, lifting) has its canonical representative as rep.
+    """
 
-    def __init__(
-        self, rep: QIdeal, conductor: Conductor, check: bool = True, label: Optional[tuple] = None
-    ) -> None:
-        if check and not _coprime_to_conductor(rep, conductor):
+    __slots__ = ("conductor", "label", "_rep")
+
+    def __init__(self, rep: QIdeal, conductor: Conductor) -> None:
+        if not _coprime_to_conductor(rep, conductor):
             raise NotCoprimeError("representative is not prime to the conductor")
-        self.rep = rep
         self.conductor = conductor
-        self._label = label
+        self.label = conductor.group.label(rep)
+        self._rep: Optional[QIdeal] = rep
+
+    @classmethod
+    def of(cls, conductor: Conductor, label: tuple) -> "RayClassRef":
+        """The class with the given label modulo the conductor."""
+        x = cls.__new__(cls)
+        x.conductor, x.label, x._rep = conductor, label, None
+        return x
 
     @property
-    def label(self) -> tuple:
-        if self._label is None:
-            self._label = self.conductor.group.label(self.rep)
-        return self._label
+    def rep(self) -> QIdeal:
+        if self._rep is None:
+            self._rep = self.canonical_rep()
+        return self._rep
 
     def same_class(self, other: "RayClassRef") -> bool:
         return self.conductor == other.conductor and self.label == other.label
@@ -357,10 +375,10 @@ class RayClassRef:
     def __mul__(self, other: "RayClassRef") -> "RayClassRef":
         if self.conductor != other.conductor:
             raise ValueError("class product needs one common conductor")
-        return RayClassRef(self.rep.mul(other.rep), self.conductor, check=False)
+        return RayClassRef.of(self.conductor, self.conductor.group.mul(self.label, other.label))
 
     def inv(self) -> "RayClassRef":
-        return RayClassRef(self.rep.inverse(), self.conductor, check=False)
+        return RayClassRef.of(self.conductor, self.conductor.group.inv(self.label))
 
     def canonical_rep(self) -> QIdeal:
         """Smallest-norm integral ideal in the class, ties broken by HNF order."""
@@ -394,7 +412,7 @@ def reduce_class(x: RayClassRef, smaller: Conductor) -> RayClassRef:
     """Image of the class under the reduction to a divisor of its conductor."""
     if not smaller.divides(x.conductor):
         raise ValueError("target conductor must divide the source conductor")
-    return RayClassRef(x.rep, smaller, check=False)
+    return RayClassRef.of(smaller, smaller.group.label(x.rep))
 
 
 def units_mod_conductor(F: Conductor) -> tuple[list[QuadInt], int]:
@@ -409,99 +427,42 @@ def lift_classes(xs: Sequence["RayClassRef"], big: Conductor) -> list["RayClassR
 
     big must factor as Q * F with Q coprime to F (the conductor of xs).  The
     classes modulo big are generated from prime ideals up to the certified
-    order, and those whose representatives reduce into xs are kept.
+    order, each paired with its image modulo F, and those whose image lies
+    in xs are kept.
     """
     if not xs:
         raise ValueError("nothing to lift")
     F = xs[0].conductor
-    Q = big.ideal.mul(F.ideal.inverse())
-    if not Q.is_integral:
+    if not F.divides(big):
         raise ValueError("the source conductor must divide the target")
-    if Q.is_maximal_order():
-        return list(xs)
-    if not Q.is_coprime(F.ideal):
+    if any(big.factors[P] != e for P, e in F.factors.items()):
         raise ValueError("the conductor extension must be coprime to the base")
-    G = big.group
+    if len(big.factors) == len(F.factors):
+        return list(xs)
+    G, H = big.group, F.group
     want = {x.label for x in xs}
-    elems = G.span(((G.label(P), P) for P in G.primes()), big.field.maximal_order, QIdeal.mul)
-    return [RayClassRef(I, big, check=False, label=x) for x, I in elems.items() if F.group.label(I) in want]
+    elems = G.span(((G.label(P), H.label(P)) for P in G.primes()), H.one, H.mul)
+    return [RayClassRef.of(big, x) for x, y in elems.items() if y in want]
 
 
 # -- Chinese remainder classes -----------------------------------------------------
 
 
-def _solve_columns(cols: Sequence[tuple[int, int]], target: tuple[int, int]) -> Optional[list[int]]:
-    """Integer coefficients expressing target in the Z-span of the columns."""
-    n = len(cols)
-    a = 0
-    a_comb = [0] * n
-    b = c = 0
-    bc_comb = [0] * n
-
-    def axpy(s, u, t, idx=None, v=None):
-        out = [s * ui for ui in u]
-        if idx is not None:
-            out[idx] += t
-        else:
-            for i2, vi in enumerate(v):
-                out[i2] += t * vi
-        return out
-
-    for idx, (x, y) in enumerate(cols):
-        if x == 0 and y == 0:
-            continue
-        if y == 0:
-            g, s, t = _extgcd(a, x)
-            a_comb = axpy(s, a_comb, t, idx=idx)
-            a = g
-            continue
-        if c == 0:
-            b, c = x, y
-            bc_comb = [0] * n
-            bc_comb[idx] = 1
-            continue
-        g, s, t = _extgcd(c, y)
-        elim_x = (c * x - y * b) // g
-        elim_comb = [c // g * (1 if i2 == idx else 0) - y // g * bc_comb[i2] for i2 in range(n)]
-        g2, s2, t2 = _extgcd(a, elim_x)
-        a_comb = axpy(s2, a_comb, t2, v=elim_comb)
-        a = g2
-        bc_comb = axpy(s, bc_comb, t, idx=idx)
-        b, c = s * b + t * x, g
-    tx, ty = target
-    if c == 0:
-        if ty != 0:
-            return None
-        j = 0
-        rem = tx
-        coeffs_j = [0] * n
-    else:
-        j, r = divmod(ty, c)
-        if r:
-            return None
-        rem = tx - j * b
-        coeffs_j = bc_comb
-    if a == 0:
-        if rem != 0:
-            return None
-        i = 0
-    else:
-        i, r2 = divmod(rem, a)
-        if r2:
-            return None
-    return [i * ai + j * bj for ai, bj in zip(a_comb, coeffs_j)]
-
-
 def idempotent_for(Q: QIdeal, M: QIdeal) -> QuadInt:
-    """An element congruent to 1 mod Q and 0 mod M, for coprime integral Q, M."""
+    """An element congruent to 1 mod Q and 0 mod M, for coprime integral Q, M.
+
+    With Q = [a_Q, b_Q + c_Q w] and M likewise, e = k a_M + t c_Q (b_M + c_M w)
+    lies in M and has its w-coordinate in c_Q Z, so e = 1 mod Q exactly when
+    k a_M + t B = 1 mod a_Q, B = c_Q b_M - c_M b_Q.  Two extended gcds solve
+    this when gcd(a_M, B, a_Q) = 1, which holds exactly when Q + M = O (c
+    divides a and b, so coprime ideals have coprime c_Q and c_M).
+    """
     fld = Q.field
-    q1, q2 = Q.basis()
-    m1, m2 = M.basis()
-    cols = [(q1.x, q1.y), (q2.x, q2.y), (m1.x, m1.y), (m2.x, m2.y)]
-    coeffs = _solve_columns(cols, (1, 0))
-    if coeffs is None:
+    g, k, t = _extgcd(M.a, Q.c * M.b - M.c * Q.b)
+    g, s, _ = _extgcd(g, Q.a)
+    if g != 1:
         raise NotCoprimeError("the two ideals are not coprime")
-    e = coeffs[2] * m1 + coeffs[3] * m2
+    e = QuadInt(fld, s * (k * M.a + t * Q.c * M.b), s * t * Q.c * M.c)
     assert (fld.one - e) in Q and e in M
     return e
 
@@ -570,14 +531,13 @@ class CharacterPsi:
     """Ray class character I -> phi'(N(I)) built from the partner field's
     quadratic residue symbols; values are +-1 and multiplicative."""
 
-    __slots__ = ("D", "Dprime", "field", "conductor", "_norm_cache")
+    __slots__ = ("D", "Dprime", "field", "conductor")
 
     def __init__(self, D: int, Dprime: int) -> None:
         self.D = D
         self.Dprime = Dprime
         self.field = field(D)
         self.conductor = psi_conductor(D, Dprime)
-        self._norm_cache: dict[int, int] = {}
 
     def value_on_norm(self, n: Union[int, Fraction]) -> int:
         if isinstance(n, Fraction):
@@ -585,14 +545,11 @@ class CharacterPsi:
         n = abs(n)
         if gcd(n, 2 * abs(self.Dprime)) != 1:
             raise NotCoprimeError(f"norm {n} is not prime to 2 D'")
-        hit = self._norm_cache.get(n)
-        if hit is None:
-            hit = 1
-            for p, e in factorint(n).items():
-                if e % 2:
-                    hit *= legendre(self.Dprime, p)
-            self._norm_cache[n] = hit
-        return hit
+        out = 1
+        for p, e in factorint(n).items():
+            if e % 2:
+                out *= legendre(self.Dprime, p)
+        return out
 
     def value(self, I: QIdeal) -> int:
         if not I.is_integral:
@@ -646,7 +603,7 @@ def compute_skew_sets(
             "has character value -1, so the subgroup equals its coset"
         )
     out = tuple(
-        sorted((RayClassRef(G.canonical(x), F, check=False, label=x) for x in idx), key=RayClassRef.canonical_key)
+        sorted((RayClassRef.of(F, x) for x in idx), key=RayClassRef.canonical_key)
         for idx in (a_idx, s_idx)
     )
     G._skew_sets[chi.Dprime, bound] = out

@@ -302,6 +302,24 @@ def test_verify_bad_family_parameter_exit_two(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["search", "--trunc=-1/1"], "error: truncation must be >= 0"),
+        (["verify", "id1", "--config", "{tmp}/missing.cfg"], "error: cannot read config file"),
+        (["dump", "rayclass", "-D", "-30", "--Dp", "-10", "-F", "P5*P3*4P2", "--bound", "10"], "enumeration failure: "),
+        (["dump", "rayclass", "-D", "-5", "--Dp", "-15", "-F", "P3*P3bar"], "not applicable: "),
+        (["dump", "rayclass", "-D", "-2", "--Dp", "-2", "-F", "4*P2"], "error: "),
+    ],
+    ids=["search_trunc", "missing_config", "dump_closure", "dump_overlap", "dump_same_field"],
+)
+def test_errors_map_to_exit_codes_without_traceback(argv, message, tmp_path, capsys):
+    rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == (3 if message.startswith("enumeration") else 2)
+    assert out == "" and err.startswith(message)
+
+
 def test_bench_trace_targets_resolve():
     # the benchmark's span tracer wraps these public names; a name removed
     # from raytheta would make its traced runs fail

@@ -28,7 +28,7 @@ from raytheta.identities import (
 )
 from raytheta.bridge import coset_theta_direct, decompose_coset, product_to_coset, theta_coset_raw
 from raytheta.qseries import equals_to_order, eta, series_sum, theta_lincomb, v_func
-from raytheta.quadfield import Field, enumerate_ideals, field, split_prime
+from raytheta.quadfield import Field, enumerate_ideals, factorint, field, split_prime
 from raytheta.rayclass import conductor_of, ray_class, ray_theta
 from raytheta.report import ReportBuilder
 
@@ -330,6 +330,9 @@ FLOAT_CALLS = {
     "split_prime": lambda: split_prime(field(-5), 5.0),
     "enumerate_ideals": lambda: enumerate_ideals(field(-1), 10.0),
     "pell_levels": lambda: pell_levels(2.0),
+    "ideal_scaled": lambda: field(-5).maximal_order.scaled(0.5),
+    "conductor_of": lambda: conductor_of(4.0, field(-5)),
+    "factorint": lambda: factorint(12.0),
 }
 
 

@@ -30,7 +30,9 @@ from raytheta.rayclass import (
     compute_skew_sets,
     crt_class,
     conductor_of,
+    idempotent_for,
     in_k1f,
+    lift_classes,
     psi_conductor,
     ray_class,
     ray_theta,
@@ -285,6 +287,92 @@ def test_crt_rejects_common_factor():
     p3 = split_prime(K2, 3).prime
     with pytest.raises(NotCoprimeError):
         crt_class([(p3, 1), (p3.mul(p3), 1)])
+
+
+def test_idempotent_for_every_small_pair():
+    # every ordered pair of integral ideals of norm <= 60, conjugate pairs included
+    pairs = 0
+    for D in (-1, -2, -5, -23, -30):
+        k = field(D)
+        ideals = enumerate_ideals(k, 60)
+        for Q in ideals:
+            for M in ideals:
+                pairs += 1
+                if Q.is_coprime(M):
+                    e = idempotent_for(Q, M)
+                    assert e in M and (k.one - e) in Q, (D, Q, M)
+                else:
+                    with pytest.raises(NotCoprimeError):
+                        idempotent_for(Q, M)
+    assert pairs == 32314
+
+
+def _count_outside_label(monkeypatch):
+    """Counts of QIdeal.mul and is_principal calls made outside RayClassGroup.label."""
+    import raytheta.rayclass as rc
+
+    counts = {"mul": 0, "is_principal": 0}
+    depth = [0]
+    real_mul, real_principal, real_label = QIdeal.mul, rc.is_principal, rc.RayClassGroup.label
+
+    def mul(self, other):
+        counts["mul"] += depth[0] == 0
+        return real_mul(self, other)
+
+    def principal(I):
+        counts["is_principal"] += depth[0] == 0
+        return real_principal(I)
+
+    def label(self, I):
+        depth[0] += 1
+        try:
+            return real_label(self, I)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(QIdeal, "mul", mul)
+    monkeypatch.setattr(rc, "is_principal", principal)
+    monkeypatch.setattr(rc.RayClassGroup, "label", label)
+    return counts
+
+
+def test_class_arithmetic_stays_on_labels(monkeypatch):
+    _, Fc, p5, p3, f4p2, _ = _sqrt30_data()
+    base = Conductor(p3.mul(f4p2))
+    x = crt_class([(p5, -1), (p3, 1), (f4p2, 3 * field(-30).elem(1, 2))], Fc)
+    y = ray_class(7, Fc)
+    small = [ray_class(1, base), ray_class(11, base)]
+    combo = ClassCombo.sum_of([x, y])
+    Fc.group, base.group  # built before counting
+    counts = _count_outside_label(monkeypatch)
+    product, inverse, shifted = x * y, x.inv(), combo.times(y)
+    assert (product * inverse).same_class(y) and shifted.terms[0][1].same_class(product)
+    lifted = lift_classes(small, Fc)
+    assert len(lifted) == 2 * Fc.group.order // base.group.order
+    # reduction only labels the representative at the smaller conductor
+    rx, ry = reduce_class(x, base), reduce_class(y, base)
+    assert counts == {"mul": 0, "is_principal": 0}
+    assert reduce_class(product, base).same_class(rx * ry)
+
+
+def test_skew_sets_search_each_canonical_rep_once(monkeypatch):
+    import raytheta.rayclass as rc
+
+    data = [(CharacterPsi(-30, -10), _sqrt30_data()[1]), (CharacterPsi(-10, -30), _sqrt10_data()[1])]
+    for _, Fc in data:
+        Fc.group  # its R_j come from the same search; built before counting
+    calls = []
+    real = rc._least_ideal
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(rc, "_least_ideal", counting)
+    for chi, Fc in data:
+        A, S = compute_skew_sets(chi, Fc)
+        skew_sets_to_json(chi, Fc, A, S, None)
+    assert len(calls) == 24
 
 
 # -- reduction ---------------------------------------------------------------------
