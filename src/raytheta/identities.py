@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
@@ -18,8 +18,8 @@ from .bridge import cross_field_sides
 from .qseries import (
     QSeries,
     _fraction,
+    _theta_terms,
     eta,
-    series_sum,
     theta_gen,
     theta_lincomb,
     v_func,
@@ -65,11 +65,15 @@ class _VCache:
         return hit
 
 
+def _v_combo(indices: Iterable[int], m: int) -> list[tuple[int, int]]:
+    """The theta combination at level m(m+1) of sum_x V(x, m) over the indices."""
+    f = 2 * m + 1
+    return [(sign, x * g) for x in indices for sign, g in ((1, 1), (-1, f))]
+
+
 def _v_sum(indices: Iterable[int], m: int, trunc) -> QSeries:
     """sum_x V(x, m) over the indices, as one lattice sum at level m(m+1)."""
-    f = 2 * m + 1
-    combo = [(sign, x * g) for x in indices for sign, g in ((1, 1), (-1, f))]
-    return theta_lincomb(combo, m * (m + 1), trunc)
+    return theta_lincomb(_v_combo(indices, m), m * (m + 1), trunc)
 
 
 # -- the first identity family (level 3 vs level 4 squares) -------------------------
@@ -223,17 +227,30 @@ def thm51_lhs(params: FamilyParams, trunc) -> QSeries:
 
         sum_{u < p/2} sum_{v, w < c} V(c h_u (r + 8vp), m) V(c h_u ((2a - eps p) r + 8wp), m),
 
-    summed as sum_u L_u R_u with L_u and R_u the sums over v and over w.
+    summed as sum_u L_u R_u with L_u and R_u the sums over v and over w.  Both
+    are lattice sums at level k = m(m+1), so every product L_u R_u is
+    accumulated into one integer dict over denominator 4k; R_u is skipped
+    when L_u has no term to q^trunc.
     """
     a, p, c, m, r, eps = params.a, params.p, params.c, params.m, params.r, params.eps
     T = _fraction(trunc)
-    products = []
+    k = m * (m + 1)
+    nmax = (4 * k * T.numerator) // T.denominator
+    out: dict[int, int] = {}
     for u in range(1, (p - 1) // 2 + 1):
         hu = thm51_index(params, u)
-        left = _v_sum((c * hu * (r + 8 * v * p) for v in range(c)), m, T)
-        right = _v_sum((c * hu * ((2 * a - eps * p) * r + 8 * w * p) for w in range(c)), m, T)
-        products.append(left * right)
-    return series_sum(products)
+        left = _theta_terms(_v_combo((c * hu * (r + 8 * v * p) for v in range(c)), m), k, T)
+        if not left:
+            continue
+        right = _v_combo((c * hu * ((2 * a - eps * p) * r + 8 * w * p) for w in range(c)), m)
+        right_terms = sorted(_theta_terms(right, k, T).items())
+        for nl, cl in left.items():
+            for nr, cr in right_terms:
+                n = nl + nr
+                if n > nmax:
+                    break
+                out[n] = out.get(n, 0) + cl * cr
+    return QSeries(4 * k, out, T)
 
 
 def thm51_rhs(params: FamilyParams, trunc) -> QSeries:
@@ -452,51 +469,69 @@ class SearchConfig:
             max_coeff=max_coeff,
         )
 
+    def __post_init__(self) -> None:
+        if self.max_coeff < 0:
+            raise ValueError("max coefficient must be >= 0")
 
-def _rational_kernel(rows: list[list[Fraction]], n: int) -> list[list[int]]:
-    rows = [row[:] for row in rows if any(x != 0 for x in row)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _integer_kernel(rows: Iterable[list[int]], n: int) -> list[list[int]]:
+    """Canonical basis of {x in Q^n : row . x = 0 for every row}, on integers only.
+
+    Rows are streamed against at most n pivot rows, kept primitive and in
+    fraction-free reduced echelon form: a pivot row is zero before its pivot
+    column and in every other pivot column.  Such rows are multiples of the
+    rows of the reduced row echelon form, so the result does not depend on
+    the order of the rows.  A row that reduces to zero is dropped.  For each
+    free column, in order, the basis holds the primitive vector with a
+    positive entry there, zeros at the other free columns, and at each pivot
+    column the value that Gauss-Jordan elimination over Q would give,
+    scaled by the same factor.
+    """
+    pivots: dict[int, list[int]] = {}
+    for x in rows:
+        if len(pivots) == n:
             break
-    free = [c for c in range(n) if c not in pivots]
+        for pc, prow in pivots.items():
+            xc = x[pc]
+            if xc:
+                lead = prow[pc]
+                x = _primitive([lead * a - xc * b for a, b in zip(x, prow)])
+        col = next((j for j, a in enumerate(x) if a), None)
+        if col is None:
+            continue
+        x = _primitive(x)
+        lead = x[col]
+        for pc, prow in pivots.items():
+            pcol = prow[col]
+            if pcol:
+                pivots[pc] = _primitive([lead * a - pcol * b for a, b in zip(prow, x)])
+        pivots[col] = x
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][fc]
-        den = 1
-        for x in v:
-            den = den // gcd(den, x.denominator) * x.denominator
-        ints = [int(x * den) for x in v]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        basis.append([x // g for x in ints])
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        den = lcm(*(prow[pc] for pc, prow in pivots.items() if prow[fc]))
+        v = [0] * n
+        v[fc] = den
+        for pc, prow in pivots.items():
+            v[pc] = -prow[fc] * (den // prow[pc])
+        basis.append(_primitive(v))
     return basis
 
 
 def search_relations(cfg: SearchConfig) -> list[dict]:
     """Integer relations among the pool series, exact to the configured
-    truncation; every hit is tagged CANDIDATE (never claimed proven)."""
+    truncation; every hit is tagged CANDIDATE (never claimed proven).
+
+    The coefficient matrix has one integer row per exponent that occurs in
+    some series; its kernel is found by ``_integer_kernel`` without leaving
+    the integers.
+    """
     if not cfg.pool:
         raise ValueError("empty search pool")
     V = _VCache(cfg.trunc)
@@ -510,17 +545,17 @@ def search_relations(cfg: SearchConfig) -> list[dict]:
             prod = term if prod is None else prod * term
         assert prod is not None
         series.append(prod)
-    denom = 1
-    for s in series:
-        denom = denom // gcd(denom, s.denom) * s.denom
-    grid = sorted({n * (denom // s.denom) for s in series for n in s.terms})
-    if len(grid) * len(series) > cfg.max_matrix_entries:
+    denom = lcm(*(s.denom for s in series))
+    grid = {n * (denom // s.denom) for s in series for n in s.terms}
+    width = len(series)
+    if len(grid) * width > cfg.max_matrix_entries:
         raise ValueError("search matrix exceeds the configured size guard")
-    rows = [
-        [Fraction(s.terms.get(n // (denom // s.denom), 0) if n % (denom // s.denom) == 0 else 0) for s in series]
-        for n in grid
-    ]
-    kernel = _rational_kernel(rows, len(series))
+    rows = {n: [0] * width for n in sorted(grid)}
+    for j, s in enumerate(series):
+        f = denom // s.denom
+        for n, c in s.terms.items():
+            rows[n * f][j] = c
+    kernel = _integer_kernel(rows.values(), width)
     out = []
     for vec in kernel:
         if max(abs(x) for x in vec) > cfg.max_coeff:

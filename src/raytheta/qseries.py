@@ -276,22 +276,20 @@ def divide_by_unit(num: QSeries, den: QSeries) -> QSeries:
 # -- classical series -------------------------------------------------------
 
 
-def theta_lincomb(combo: Iterable[tuple[int, int]], level: int, trunc) -> QSeries:
-    """Integer combination sum_i c_i theta(ell_i, level) of level-k lattice sums.
+def _theta_terms(combo: Iterable[tuple[int, int]], level: int, T: Fraction) -> dict[int, int]:
+    """Terms of sum_i c_i theta(ell_i, level) to q^T, as {numerator over 4k: coeff}.
 
     theta(ell, k) = sum_{n in Z} q^(k (n + ell/2k)^2), so every term sits at
-    an exponent (2kn + ell)^2 / 4k.  All terms go into one integer dict over
-    denominator 4k; the summation range of each ell is derived from exact
-    integer square-root bounds so no term below the truncation is missed.
+    an exponent (2kn + ell)^2 / 4k.  The summation range of each ell is
+    derived from exact integer square-root bounds so no term below the
+    truncation is missed.  Entries that cancel to 0 may remain.
     """
     if level < 1:
         raise ValueError("level must be a positive integer")
-    T = _fraction(trunc)
     if T < 0:
         raise ValueError("truncation must be >= 0")
-    k4 = 4 * level
     two_k = 2 * level
-    M = isqrt((k4 * T.numerator) // T.denominator)
+    M = isqrt((4 * level * T.numerator) // T.denominator)
     terms: dict[int, int] = {}
     for c, ell in combo:
         if not isinstance(c, int):
@@ -300,7 +298,17 @@ def theta_lincomb(combo: Iterable[tuple[int, int]], level: int, trunc) -> QSerie
         for v in range(ell - two_k * ((M + ell) // two_k), M + 1, two_k):
             e = v * v
             terms[e] = terms.get(e, 0) + c
-    return QSeries(k4, terms, T)
+    return terms
+
+
+def theta_lincomb(combo: Iterable[tuple[int, int]], level: int, trunc) -> QSeries:
+    """Integer combination sum_i c_i theta(ell_i, level) of level-k lattice sums.
+
+    theta(ell, k) = sum_{n in Z} q^(k (n + ell/2k)^2); all terms go into one
+    integer dict over denominator 4k (see ``_theta_terms``).
+    """
+    T = _fraction(trunc)
+    return QSeries(4 * level, _theta_terms(combo, level, T), T)
 
 
 def theta_gen(ell: int, level: int, trunc) -> QSeries:

@@ -98,7 +98,7 @@ def test_criterion_4_family():
         and (p13.m, p13.p, p13.c) == (676, 677, 13)
         and terms == [1250, 57122]
         and all(rep.passed for rep in members)
-        and elapsed < 10.0
+        and elapsed < 2.0
     )
     _line(
         "4 (infinite family)",

@@ -306,12 +306,13 @@ def test_verify_bad_family_parameter_exit_two(capsys):
     "argv,message",
     [
         (["search", "--trunc=-1/1"], "error: truncation must be >= 0"),
+        (["search", "--max-coeff", "-1", "--trunc", "4/1"], "error: max coefficient must be >= 0"),
         (["verify", "id1", "--config", "{tmp}/missing.cfg"], "error: cannot read config file"),
         (["dump", "rayclass", "-D", "-30", "--Dp", "-10", "-F", "P5*P3*4P2", "--bound", "10"], "enumeration failure: "),
         (["dump", "rayclass", "-D", "-5", "--Dp", "-15", "-F", "P3*P3bar"], "not applicable: "),
         (["dump", "rayclass", "-D", "-2", "--Dp", "-2", "-F", "4*P2"], "error: "),
     ],
-    ids=["search_trunc", "missing_config", "dump_closure", "dump_overlap", "dump_same_field"],
+    ids=["search_trunc", "search_max_coeff", "missing_config", "dump_closure", "dump_overlap", "dump_same_field"],
 )
 def test_errors_map_to_exit_codes_without_traceback(argv, message, tmp_path, capsys):
     rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
