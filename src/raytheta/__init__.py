@@ -7,7 +7,6 @@ from .qseries import (
     divide_by_unit,
     equals_to_order,
     eta,
-    series_sum,
     theta_gen,
     theta_lincomb,
     v_func,
@@ -40,7 +39,6 @@ from .rayclass import (
     compute_skew_sets,
     conductor_of,
     crt_class,
-    in_k1f,
     lift_classes,
     psi_conductor,
     ray_class,

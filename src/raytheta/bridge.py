@@ -199,26 +199,12 @@ def decompose_coset(
     """Offsets w such that offset + L splits as the disjoint union of
     (offset + w) + Lsub over a transversal of L / Lsub.
 
-    Lsub must be a finite-index sublattice of L; raises on infinite index or
-    on vectors outside L.
+    L and Lsub are rank-2 lattices given by two basis columns each, and Lsub
+    must be a finite-index sublattice of L; raises on any other rank, on
+    infinite index or on vectors outside L.
     """
-    if len(cols) != len(sub_cols):
-        raise ValueError("lattice ranks differ: infinite index")
-    if len(cols) == 1:
-        (lx, ly), (mx, my) = cols[0], sub_cols[0]
-        lx, ly, mx, my = (_fraction(v) for v in (lx, ly, mx, my))
-        ratio = None
-        for num, den in ((mx, lx), (my, ly)):
-            if den != 0:
-                ratio = num / den
-        if ratio is None or ratio == 0 or ratio.denominator != 1:
-            raise ValueError("sublattice vector is not an integer multiple")
-        if mx != ratio * lx or my != ratio * ly:
-            raise ValueError("sublattice vector is not parallel")
-        n = abs(int(ratio))
-        ox, oy = _fraction(offset[0]), _fraction(offset[1])
-        return [(ox + t * lx, oy + t * ly) for t in range(n)]
-
+    if len(cols) != 2 or len(sub_cols) != 2:
+        raise ValueError("both lattices need a rank-2 basis")
     (a1, a2), (b1, b2) = (tuple(map(_fraction, c)) for c in cols)
     det = a1 * b2 - a2 * b1
     if det == 0:

@@ -194,6 +194,8 @@ class FamilyParams:
 
     @classmethod
     def build(cls, a: int, r: int, eps: int, experimental: bool = False) -> "FamilyParams":
+        if not all(isinstance(v, int) for v in (a, r, eps)):
+            raise TypeError("a, r and eps must be integers")
         if a % 4 != 1 and not experimental:
             raise ValueError("a must be 1 mod 4 (pass experimental=True to override)")
         if eps not in (0, 1):
@@ -470,6 +472,8 @@ class SearchConfig:
         )
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_coeff, int):
+            raise TypeError("max coefficient must be an int")
         if self.max_coeff < 0:
             raise ValueError("max coefficient must be >= 0")
 

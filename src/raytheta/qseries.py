@@ -159,6 +159,8 @@ class QSeries:
         return QSeries(self.denom, {n: -c for n, c in self.terms.items()}, self.trunc)
 
     def scaled(self, k: int) -> "QSeries":
+        if not isinstance(k, int):
+            raise TypeError("a series is scaled by an int")
         return QSeries(self.denom, {n: k * c for n, c in self.terms.items()}, self.trunc)
 
     def __mul__(self, other):
@@ -185,12 +187,6 @@ class QSeries:
         return QSeries(D, out, T)
 
     __rmul__ = __mul__
-
-    def truncated(self, trunc) -> "QSeries":
-        trunc = _fraction(trunc)
-        if trunc > self.trunc:
-            raise ValueError(f"cannot extend truncation {self.trunc} to {trunc}")
-        return QSeries(self.denom, self.terms, trunc)
 
     # -- serialization ------------------------------------------------------
 
@@ -314,27 +310,6 @@ def theta_lincomb(combo: Iterable[tuple[int, int]], level: int, trunc) -> QSerie
 def theta_gen(ell: int, level: int, trunc) -> QSeries:
     """Level-k lattice sum sum_{n in Z} q^(k (n + ell/2k)^2), k = level."""
     return theta_lincomb(((1, ell),), level, trunc)
-
-
-def series_sum(series: Iterable[QSeries]) -> QSeries:
-    """Sum of a nonempty collection of series, accumulated in one dict.
-
-    Denominators are aligned once, to their common multiple; the result is
-    truncated at the smallest truncation among the summands.
-    """
-    parts = list(series)
-    if not parts:
-        raise ValueError("empty sum")
-    D = 1
-    for s in parts:
-        D = _lcm(D, s.denom)
-    out: dict[int, int] = {}
-    for s in parts:
-        f = D // s.denom
-        for n, c in s.terms.items():
-            n *= f
-            out[n] = out.get(n, 0) + c
-    return QSeries(D, out, min(s.trunc for s in parts))
 
 
 def eta(trunc) -> QSeries:

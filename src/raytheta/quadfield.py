@@ -333,18 +333,6 @@ class QIdeal:
             a, b, c = a // gq, b // gq, c // gq
         return cls(fld, den, a, b, c)
 
-    @classmethod
-    def from_generators(cls, gens: Iterable[QuadInt]) -> "QIdeal":
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            raise ValueError("at least one nonzero generator required")
-        fld = gens[0].field
-        cols = []
-        for g in gens:
-            cols.append((g.x, g.y))
-            cols.append(fld.omega_mul_xy(g.x, g.y))
-        return cls.from_scaled_columns(fld, 1, cols)
-
     # -- basic structure ------------------------------------------------------
 
     @property
@@ -445,10 +433,6 @@ class QIdeal:
         cols += [(fb * g.x, fb * g.y) for g in other.basis()]
         return QIdeal.from_scaled_columns(self.field, den, cols)
 
-    def intersect(self, other: "QIdeal") -> "QIdeal":
-        """lcm(I, J) = I intersect J, computed as IJ / hcf(I, J)."""
-        return self.mul(other).mul(self.add(other).inverse())
-
     def divides(self, other: "QIdeal") -> bool:
         return other.mul(self.inverse()).is_integral
 
@@ -467,21 +451,22 @@ class QIdeal:
             e >>= 1
         return out
 
-    def mul_element(self, g: QuadInt) -> "QIdeal":
-        """The ideal g * I."""
-        cols = []
-        for h in self.basis():
-            p = g * h
-            cols.append((p.x, p.y))
-        return QIdeal.from_scaled_columns(self.field, self.q, cols)
-
 
 def principal_ideal(g: QuadInt) -> QIdeal:
-    return QIdeal.from_generators([g])
+    return ideal_from_gens([g])
 
 
 def ideal_from_gens(gens: Iterable[QuadInt]) -> QIdeal:
-    return QIdeal.from_generators(gens)
+    """The integral ideal generated by the given elements."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        raise ValueError("at least one nonzero generator required")
+    fld = gens[0].field
+    cols = []
+    for g in gens:
+        cols.append((g.x, g.y))
+        cols.append(fld.omega_mul_xy(g.x, g.y))
+    return QIdeal.from_scaled_columns(fld, 1, cols)
 
 
 # -- prime splitting ----------------------------------------------------------
@@ -600,13 +585,6 @@ def factor_ideal(I: QIdeal) -> dict[QIdeal, int]:
     if I.q != 1:
         accumulate(I.q, -1, principal_ideal(fld.elem(I.q)))
     return {P: v for P, v in out.items() if v}
-
-
-def ideal_product(fld: Field, factors: dict[QIdeal, int]) -> QIdeal:
-    out = fld.maximal_order
-    for P, v in factors.items():
-        out = out.mul(P.pow(v))
-    return out
 
 
 # -- principality (rank-2 Gauss reduction) -------------------------------------

@@ -138,23 +138,6 @@ def _coprime_to_conductor(I: QIdeal, F: Conductor) -> bool:
     return all(valuation(I, P) == 0 for P in F.primes)
 
 
-def in_k1f(lam: QuadInt, mu: QuadInt, F: Conductor) -> bool:
-    """Whether lam/mu is 1 modulo F.
-
-    Both elements must generate ideals with equal valuations at every prime
-    of F (otherwise the quotient is not even prime to F and NotCoprimeError
-    is raised).  With H = hcf(lam O, mu O) the test is lam - mu in F*H.
-    """
-    if lam.is_zero() or mu.is_zero():
-        raise ValueError("need nonzero elements")
-    Il, Im = principal_ideal(lam), principal_ideal(mu)
-    for P in F.primes:
-        if valuation(Il, P) != valuation(Im, P):
-            raise NotCoprimeError("quotient is not prime to the conductor")
-    H = Il.add(Im)
-    return (lam - mu) in F.ideal.mul(H)
-
-
 def _least_ideal(fld: Field, coset: tuple, Minv: QIdeal, ok=None) -> QIdeal:
     """The least integral ideal (alpha) Minv in (norm, HNF) order, over the
     nonzero points alpha of the coset (ox, oy, a, b, c), that satisfies ok.
@@ -369,9 +352,6 @@ class RayClassRef:
     def same_class(self, other: "RayClassRef") -> bool:
         return self.conductor == other.conductor and self.label == other.label
 
-    def contains_ideal(self, I: QIdeal) -> bool:
-        return self.conductor.group.label(I) == self.label
-
     def __mul__(self, other: "RayClassRef") -> "RayClassRef":
         if self.conductor != other.conductor:
             raise ValueError("class product needs one common conductor")
@@ -403,6 +383,8 @@ class RayClassRef:
 def ray_class(g: Union[QuadInt, QIdeal, int], F: Conductor) -> RayClassRef:
     if isinstance(g, int):
         g = F.field.elem(g)
+    elif not isinstance(g, (QuadInt, QIdeal)):
+        raise TypeError("a ray class is given by an ideal, an element or an int")
     if isinstance(g, QuadInt):
         g = principal_ideal(g)
     return RayClassRef(g, F)
@@ -483,6 +465,8 @@ def crt_class(
     for Q, r in components:
         if isinstance(r, int):
             r = fld.elem(r)
+        elif not isinstance(r, QuadInt):
+            raise TypeError("a residue is an element or an int")
         parts.append((Q, r))
     F_ideal = fld.maximal_order
     for Q, _ in parts:
@@ -582,6 +566,8 @@ def compute_skew_sets(
     on the classes x with psi(x) = +1 and -1.  If the generator primes run
     out first, ClosureError is raised (never a partial answer).
     """
+    if bound is not None and not isinstance(bound, int):
+        raise TypeError("bound must be an int")
     if not F.self_conjugate:
         raise ValueError("the conductor must be self-conjugate")
     if not chi.conductor.divides(F):
@@ -621,16 +607,6 @@ def skew_sets_to_json(chi: CharacterPsi, F: Conductor, A, S, bound) -> dict:
     }
 
 
-def skew_sets_from_json(d: dict) -> tuple[CharacterPsi, Conductor, list[RayClassRef], list[RayClassRef]]:
-    chi = CharacterPsi(d["D"], d["Dprime"])
-    fld = chi.field
-    a, b, c = d["F"]
-    F = Conductor(QIdeal(fld, 1, a, b, c))
-    A = [RayClassRef(QIdeal(fld, 1, *t), F) for t in d["A"]]
-    S = [RayClassRef(QIdeal(fld, 1, *t), F) for t in d["S"]]
-    return chi, F, A, S
-
-
 # -- class combinations and theta series -----------------------------------------------
 
 
@@ -640,7 +616,9 @@ class ClassCombo:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[int, RayClassRef]]) -> None:
-        terms = tuple((int(c), x) for c, x in terms)
+        terms = tuple(terms)
+        if not all(isinstance(c, int) for c, _ in terms):
+            raise TypeError("class combination coefficients must be integers")
         if not terms:
             raise ValueError("empty combination")
         F = terms[0][1].conductor

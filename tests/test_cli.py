@@ -337,3 +337,35 @@ def test_bench_trace_targets_resolve():
     assert targets
     for name, owner, attr in targets:
         assert callable(vars(owner).get(attr)), (name, attr)
+
+
+def _bench_runs():
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = [pytest.param(w, seed, False, id=f"{w}-{seed}") for w in workloads.WORKLOADS for seed in (1, 2, 3)]
+    return runs + [pytest.param("family_deep", 1, True, id="family_deep-1-trace")]
+
+
+@pytest.mark.parametrize("workload,seed,trace", _bench_runs())
+def test_bench_worker_rows_are_correct(workload, seed, trace):
+    # the benchmark's own correctness check: every row present, asked-for and
+    # PASS, exit codes agreeing with the verdicts, and no step raising or
+    # exiting 2 or 3; the worker imports raytheta from this checkout's src/
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    argv = [sys.executable, str(worker), "--workload", workload, "--seed", str(seed)] + ["--trace"] * trace
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["problems"] == []
+    assert result["ops_failed"] == 0
+    assert result["rows_passed"] == result["rows"]

@@ -30,11 +30,28 @@ from raytheta.identities import (
     verify_id1,
     verify_id2,
     verify_relations55,
+    verify_sec54,
 )
-from raytheta.bridge import coset_theta_direct, decompose_coset, product_to_coset, theta_coset_raw
-from raytheta.qseries import equals_to_order, eta, series_sum, theta_lincomb, v_func
+from raytheta.bridge import (
+    check_cross_field,
+    check_descent,
+    coset_theta_direct,
+    decompose_coset,
+    product_to_coset,
+    theta_coset_raw,
+)
+from raytheta.qseries import QSeries, equals_to_order, eta, theta_gen, theta_lincomb, v_func, virasoro_char
 from raytheta.quadfield import Field, enumerate_ideals, factorint, field, split_prime
-from raytheta.rayclass import conductor_of, ray_class, ray_theta
+from raytheta.rayclass import (
+    CharacterPsi,
+    ClassCombo,
+    compute_skew_sets,
+    conductor_of,
+    crt_class,
+    psi_conductor,
+    ray_class,
+    ray_theta,
+)
 from raytheta.report import ReportBuilder
 
 
@@ -143,7 +160,7 @@ def test_thm51_lhs_equals_triple_sum_oracle(a, trunc, eps, lift, monkeypatch):
 
 
 def _per_u_oracle(params, trunc):
-    """thm51's left side as a series_sum of one QSeries product L_u * R_u per u."""
+    """thm51's left side as the sum of one QSeries product L_u * R_u per u."""
     a, p, c, m, r, eps = params.a, params.p, params.c, params.m, params.r, params.eps
     products = []
     for u in range(1, (p - 1) // 2 + 1):
@@ -151,7 +168,7 @@ def _per_u_oracle(params, trunc):
         left = _v_sum((c * hu * (r + 8 * v * p) for v in range(c)), m, trunc)
         right = _v_sum((c * hu * ((2 * a - eps * p) * r + 8 * w * p) for w in range(c)), m, trunc)
         products.append(left * right)
-    return series_sum(products)
+    return sum(products, QSeries.zero(trunc))
 
 
 @pytest.mark.parametrize(
@@ -209,7 +226,7 @@ def test_consolidate_fixtures():
 
 def test_consolidate_242_sum_is_eta():
     V = _VCache(F(10))
-    total = series_sum(V(99 * (1 + 12 * j), 242) for j in range(99))
+    total = sum((V(99 * (1 + 12 * j), 242) for j in range(99)), QSeries.zero(F(10)))
     ok, mism = equals_to_order(total, eta(F(10)), F(10))
     assert ok, mism
 
@@ -431,8 +448,19 @@ def test_sec54_stable_at_raised_truncation():
     assert all(r.passed for r in verify_sec54(F(6)))
 
 
+def _conductor_4p2():
+    return conductor_of(field(-2).elem(0, 4))
+
+
 def _ray_class_4p2():
-    return ray_class(1, conductor_of(field(-2).elem(0, 4)))
+    return ray_class(1, _conductor_4p2())
+
+
+def _descent_args_4p2():
+    """F, P, J, B and T of the Q[sqrt(-2)] descent fixture."""
+    Fc, K2 = _conductor_4p2(), field(-2)
+    A, S = compute_skew_sets(CharacterPsi(-2, -1), Fc)
+    return Fc, split_prime(K2, 3).prime, K2.maximal_order, A, S
 
 
 GAUSS_BASIS = [(1, 0), (0, 1)]
@@ -462,7 +490,6 @@ FLOAT_CALLS = {
     "coset_raw_rank1": lambda: theta_coset_raw(field(-1), (0, 0), [(2, 0.0)], 2, 4),
     "decompose_offset": lambda: decompose_coset(field(-1), (0.5, 0), GAUSS_BASIS, [(2, 0), (0, 2)]),
     "decompose_sublattice": lambda: decompose_coset(field(-1), (0, 0), GAUSS_BASIS, [(2.0, 0), (0, 2)]),
-    "decompose_rank1": lambda: decompose_coset(field(-1), (0, 0), [(1, 0.0)], [(3, 0)]),
     "field": lambda: field(-7.0),
     "field_class": lambda: Field(-7.0),
     "elem_x": lambda: field(-2).elem(1.5, 0),
@@ -473,13 +500,80 @@ FLOAT_CALLS = {
     "ideal_scaled": lambda: field(-5).maximal_order.scaled(0.5),
     "conductor_of": lambda: conductor_of(4.0, field(-5)),
     "factorint": lambda: factorint(12.0),
+    "series_scaled": lambda: theta_gen(1, 3, 4).scaled(2.5),
+    "theta_gen": lambda: theta_gen(1, 6, 2.0),
+    "eta": lambda: eta(2.0),
+    "v_func": lambda: v_func(1, 3, 2.0),
+    "virasoro_char": lambda: virasoro_char(1, 1, 3, 2.0),
+    "equals_to_order": lambda: equals_to_order(eta(2), eta(2), 1.0),
+    "sec54": lambda: verify_sec54(4.0),
+    "class_combo": lambda: ClassCombo([(1.5, _ray_class_4p2())]),
+    "class_combo_sum_of": lambda: ClassCombo.sum_of([_ray_class_4p2()], coeff=1.5),
+    "ray_class": lambda: ray_class(3.0, _conductor_4p2()),
+    "crt_class": lambda: crt_class([(split_prime(field(-2), 3).prime, 1.0)]),
+    "skew_sets_bound": lambda: compute_skew_sets(CharacterPsi(-2, -1), _conductor_4p2(), 960.0),
+    "character_psi": lambda: CharacterPsi(-2.0, -1),
+    "psi_conductor": lambda: psi_conductor(-2.0, -1),
+    "product_to_coset": lambda: product_to_coset(1.0, 4, 4, 40),
+    "cross_field": lambda: check_cross_field(
+        -2, -1, _conductor_4p2(), conductor_of(field(-1).elem(8)),
+        field(-2).maximal_order, field(-1).maximal_order, 16, 2.0,
+    ),
+    "descent": lambda: check_descent(*_descent_args_4p2(), 16, 2.0),
+    "search_max_coeff": lambda: SearchConfig.from_products([("L1", [(1, 2), (1, 3)])], max_coeff=2.5),
+    "family_params": lambda: FamilyParams.build(5, 1.0, 0),
 }
+
+# public callables that take no number, so no FLOAT_CALLS entry can exist
+TAKE_NO_NUMBER = (
+    "ClosureError", "ExactDivisionError", "NotCoprimeError", "SkewOverlapError",
+    "Conductor", "RayClassRef", "admissible", "class_group_reps", "class_number",
+    "coset_to_rayclass", "divide_by_unit", "factor_ideal", "ideal_from_gens",
+    "is_principal", "lift_classes", "principal_ideal", "reduce_class",
+    "same_ray_class", "search_relations", "split_coset", "units_mod_conductor",
+    "valuation",
+)
+# value types that store their fields as given: the checked entry points build
+# them (Field.elem, product_to_coset, coset_to_rayclass, split_prime,
+# pell_levels, the suites), and QuadInt is built in the innermost loops
+UNCHECKED_VALUES = ("QuadInt", "CosetSpec", "RayThetaSpec", "PellSolution", "SplitRecord", "VerificationReport")
 
 
 @pytest.mark.parametrize("call", list(FLOAT_CALLS.values()), ids=list(FLOAT_CALLS))
 def test_identities_reject_float_truncations(call):
     with pytest.raises(TypeError):
         call()
+
+
+def _rejecting_name(call, owners):
+    """The public name whose code a FLOAT_CALLS entry called directly and got
+    its TypeError from (a class counts through any of its methods)."""
+    with pytest.raises(TypeError) as info:
+        call()
+    tb = info.tb
+    while tb.tb_frame.f_code is not call.__code__:
+        tb = tb.tb_next
+    return owners.get(tb.tb_next.tb_frame.f_code)
+
+
+def test_float_calls_cover_every_public_callable():
+    import raytheta
+
+    owners = {}
+    for name in raytheta.__all__:
+        obj = getattr(raytheta, name)
+        if isinstance(obj, type):
+            for attr in vars(obj).values():
+                code = getattr(getattr(attr, "__func__", attr), "__code__", None)
+                if code is not None:
+                    owners[code] = name
+        elif callable(obj):
+            owners[obj.__code__] = name
+    public = {name for name in raytheta.__all__ if callable(getattr(raytheta, name))}
+    checked = {_rejecting_name(call, owners) for call in FLOAT_CALLS.values()} - {None}
+    exempt = set(TAKE_NO_NUMBER) | set(UNCHECKED_VALUES)
+    assert public - checked == exempt
+    assert not checked & exempt
 
 
 def test_enumerate_ideals_rejects_float_bound_up_front():

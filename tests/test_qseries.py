@@ -11,7 +11,6 @@ from raytheta.qseries import (
     divide_by_unit,
     equals_to_order,
     eta,
-    series_sum,
     theta_gen,
     theta_lincomb,
     v_func,
@@ -164,9 +163,9 @@ truncations = st.one_of(
 )
 def test_theta_lincomb_is_signed_sum_of_thetas(combo, k, T):
     got = theta_lincomb(combo, k, T)
-    want = series_sum(theta_gen(ell, k, T).scaled(c) for c, ell in combo)
+    want = sum((theta_gen(ell, k, T).scaled(c) for c, ell in combo), QSeries.zero(T))
     assert got == want
-    assert want == series_sum(brute_theta(ell, k, T).scaled(c) for c, ell in combo)
+    assert want == sum((brute_theta(ell, k, T).scaled(c) for c, ell in combo), QSeries.zero(T))
 
 
 @pytest.mark.parametrize("ell,k,T", [(0, 1, 0), (1, 6, 0), (0, 1, F(1, 2)), (-7, 12, F(49, 48)), (13, 6, 10)])
@@ -180,6 +179,14 @@ def test_theta_gen_matches_brute_force(ell, k, T):
 def test_add_neg_cancels():
     a = theta_gen(1, 6, 9)
     assert (a + (-a)).is_zero()
+
+
+def test_scaled_takes_only_int_factors():
+    a = theta_gen(1, 3, 4)
+    assert a.scaled(2).terms == {25: 2, 1: 2}
+    for k in (2.5, F(5, 2), F(2)):
+        with pytest.raises(TypeError):
+            a.scaled(k)
 
 
 def test_mul_identity():
@@ -221,21 +228,6 @@ def test_mul_commutes(a, b):
 def test_mul_associates_and_distributes(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(sparse_series, min_size=1, max_size=5))
-def test_series_sum_equals_chained_addition(parts):
-    total = parts[0]
-    for s in parts[1:]:
-        total = total + s
-    assert series_sum(parts) == total
-    assert series_sum(iter(parts)) == total
-
-
-def test_series_sum_rejects_empty():
-    with pytest.raises(ValueError):
-        series_sum([])
 
 
 @settings(max_examples=200, deadline=None)

@@ -31,14 +31,12 @@ from raytheta.rayclass import (
     crt_class,
     conductor_of,
     idempotent_for,
-    in_k1f,
     lift_classes,
     psi_conductor,
     ray_class,
     ray_theta,
     reduce_class,
     same_ray_class,
-    skew_sets_from_json,
     skew_sets_to_json,
     units_mod_conductor,
 )
@@ -55,26 +53,6 @@ def f4p2() -> Conductor:
 
 def f8() -> Conductor:
     return conductor_of(K1.elem(8))
-
-
-# -- membership in K_{1,F} -----------------------------------------------------
-
-
-def test_in_k1f_basic():
-    F2 = conductor_of(K2.elem(2))
-    assert in_k1f(K2.elem(1, 2), K2.one, F2)
-    assert in_k1f(K2.elem(5, -4), K2.elem(5, -4), F2)
-
-
-def test_in_k1f_negative_case():
-    F4 = conductor_of(K1.elem(4))
-    assert not in_k1f(K1.elem(1, 2), K1.one, F4)
-
-
-def test_in_k1f_not_applicable():
-    F2 = conductor_of(K2.elem(2))
-    with pytest.raises(NotCoprimeError):
-        in_k1f(RHO, K2.one, F2)
 
 
 # -- ray class equality -----------------------------------------------------------
@@ -190,7 +168,7 @@ def test_labels_agree_with_pairwise_oracle(idx):
     ideals += [I.mul(J.inverse()) for I, J in zip(ideals[1:6], ideals[6:11])]
     ideals += [I.inverse() for I in ideals[1:6]]
     # I (1 + a w) with F meeting Z in aZ lies in the class of I
-    ideals += [I.mul_element(Fc.field.elem(1, Fc.ideal.a)) for I in ideals[1:11]]
+    ideals += [principal_ideal(Fc.field.elem(1, Fc.ideal.a)).mul(I) for I in ideals[1:11]]
     if not Fc.self_conjugate:
         ideals.append(split_prime(K2, 3).conj.inverse())
     labels = [G.label(I) for I in ideals]
@@ -455,7 +433,7 @@ def test_psi_multiplicative_and_trivial_on_one_mod_conductor():
             assert psi.value(I.mul(J)) == psi.value(I) * psi.value(J)
         except NotCoprimeError:
             continue
-        if in_k1f(g, K2.one, Fpsi):
+        if (g - K2.one) in Fpsi.ideal:
             assert psi.value(I) == 1
         done += 1
 
@@ -538,16 +516,6 @@ def test_skew_sets_require_self_conjugate_and_inside_psi():
         compute_skew_sets(chi, Conductor(p3.mul(principal_ideal(K2.elem(2)))))
     with pytest.raises(ValueError):
         compute_skew_sets(chi, Conductor(K2.maximal_order))
-
-
-def test_skew_sets_json_round_trip():
-    chi = CharacterPsi(-2, -1)
-    A, S = compute_skew_sets(chi, f4p2())
-    blob = skew_sets_to_json(chi, f4p2(), A, S, 960)
-    chi2, F2, A2, S2 = skew_sets_from_json(blob)
-    assert [x.canonical_key() for x in A2] == [x.canonical_key() for x in A]
-    assert [x.canonical_key() for x in S2] == [x.canonical_key() for x in S]
-    assert blob == skew_sets_to_json(chi2, F2, A2, S2, 960)
 
 
 # -- theta series -------------------------------------------------------------------
@@ -645,8 +613,9 @@ def test_ray_theta_partition_law_nontrivial_conductor():
     classes: list[RayClassRef] = []
     expect: dict = {}
     for I in enumerate_ideals(K2, B, coprime_to=Fc.ideal):
-        if not any(c.contains_ideal(I) for c in classes):
-            classes.append(RayClassRef(I, Fc))
+        x = RayClassRef(I, Fc)
+        if x not in classes:
+            classes.append(x)
         n = F(int(I.norm()))
         expect[n] = expect.get(n, 0) + 1
     total = ray_theta(ClassCombo.sum_of(classes), 1, B)
