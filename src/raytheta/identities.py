@@ -18,7 +18,7 @@ from .bridge import cross_field_sides
 from .qseries import (
     QSeries,
     _fraction,
-    _theta_terms,
+    _theta_progression,
     eta,
     theta_gen,
     theta_lincomb,
@@ -65,15 +65,11 @@ class _VCache:
         return hit
 
 
-def _v_combo(indices: Iterable[int], m: int) -> list[tuple[int, int]]:
-    """The theta combination at level m(m+1) of sum_x V(x, m) over the indices."""
-    f = 2 * m + 1
-    return [(sign, x * g) for x in indices for sign, g in ((1, 1), (-1, f))]
-
-
 def _v_sum(indices: Iterable[int], m: int, trunc) -> QSeries:
     """sum_x V(x, m) over the indices, as one lattice sum at level m(m+1)."""
-    return theta_lincomb(_v_combo(indices, m), m * (m + 1), trunc)
+    f = 2 * m + 1
+    combo = [(sign, x * g) for x in indices for sign, g in ((1, 1), (-1, f))]
+    return theta_lincomb(combo, m * (m + 1), trunc)
 
 
 # -- the first identity family (level 3 vs level 4 squares) -------------------------
@@ -213,14 +209,23 @@ class FamilyParams:
         if best is None:
             raise ValueError(f"4a^2+1 = {M} is not prime times a square")
         p, aprime = best
+        if aprime % p == 0:
+            raise ValueError(f"p = {p} divides a' = {aprime}: the index lift needs p prime to c")
         if r % p == 0:
             raise ValueError("r must be prime to p")
         return cls(a=a, p=p, aprime=aprime, m=4 * a * a, c=a * aprime, r=r, eps=eps)
 
 
 def thm51_index(params: FamilyParams, u: int) -> int:
-    """The lift h_u of u: h_u = u mod p and h_u = 1 mod 8a^2 (Chinese remainders)."""
-    p, n = params.p, 8 * params.a * params.a
+    """The lift h_u of u: h_u = u mod p and h_u = 1 mod 8c^2 (Chinese remainders).
+
+    Folding L_u = sum_{v<c} V(c h_u (r + 8vp), m) to level 4p, as the
+    consolidation lemma (the ``consolidate`` suite) does, needs h_u prime to
+    c = a a', which h_u = 1 mod 8c^2 gives; h_u = 1 mod 8a^2 would fix
+    nothing mod a' (the two agree when a' = 1).  ``FamilyParams.build``
+    refuses p | a', where p has no inverse mod 8c^2.
+    """
+    p, n = params.p, 8 * params.c * params.c
     return u + p * (((1 - u) * pow(p, -1, n)) % n)
 
 
@@ -230,22 +235,33 @@ def thm51_lhs(params: FamilyParams, trunc) -> QSeries:
         sum_{u < p/2} sum_{v, w < c} V(c h_u (r + 8vp), m) V(c h_u ((2a - eps p) r + 8wp), m),
 
     summed as sum_u L_u R_u with L_u and R_u the sums over v and over w.  Both
-    are lattice sums at level k = m(m+1), so every product L_u R_u is
-    accumulated into one integer dict over denominator 4k; R_u is skipped
-    when L_u has no term to q^trunc.
+    are lattice sums at level k = m(m+1): with f = 2m+1, a V sum over the
+    progression start + j*step (j < c) is prog(start, step) - prog(f start,
+    f step), each prog one residue class when ``_theta_progression`` finds
+    that the c indices cover it.  Every product L_u R_u is accumulated into
+    one integer dict over denominator 4k; R_u is skipped when L_u has no term
+    to q^trunc.
     """
     a, p, c, m, r, eps = params.a, params.p, params.c, params.m, params.r, params.eps
     T = _fraction(trunc)
     k = m * (m + 1)
+    f = 2 * m + 1
     nmax = (4 * k * T.numerator) // T.denominator
+
+    def v_progression(start: int, step: int) -> dict[int, int]:
+        terms: dict[int, int] = {}
+        _theta_progression(terms, 1, start, step, c, k, T)
+        _theta_progression(terms, -1, f * start, f * step, c, k, T)
+        return terms
+
     out: dict[int, int] = {}
     for u in range(1, (p - 1) // 2 + 1):
         hu = thm51_index(params, u)
-        left = _theta_terms(_v_combo((c * hu * (r + 8 * v * p) for v in range(c)), m), k, T)
+        step = 8 * c * p * hu
+        left = v_progression(c * hu * r, step)
         if not left:
             continue
-        right = _v_combo((c * hu * ((2 * a - eps * p) * r + 8 * w * p) for w in range(c)), m)
-        right_terms = sorted(_theta_terms(right, k, T).items())
+        right_terms = sorted(v_progression(c * hu * (2 * a - eps * p) * r, step).items())
         for nl, cl in left.items():
             for nr, cr in right_terms:
                 n = nl + nr

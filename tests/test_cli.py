@@ -85,6 +85,7 @@ def test_parse_class_spec_products():
         (["verify", "thm51", "--a", "9", "--r", "1", "--eps", "0", "--trunc", "2/1"], None, 1),
         (["verify", "id1", "--jobs", "2"], None, 2),
         (["verify", "nosuch"], None, 2),
+        (["verify", "thm51", "--a", "341"], None, 2),
         (["verify", "id1"], "trunk=6/1\n", 2),
         (["verify", "id1"], "jobs=2\n", 2),
         (["verify", "id1"], "cache=skew-sets\n", 2),
@@ -92,7 +93,7 @@ def test_parse_class_spec_products():
         (["verify", "id1"], "json=ture\n", 2),
         (["verify", "sec54", "--bound", "10"], None, 3),
     ],
-    ids=["pass", "fail", "jobs_flag", "unknown_suite", "config_typo", "config_jobs", "config_cache", "config_bound",
+    ids=["pass", "fail", "jobs_flag", "unknown_suite", "p_divides_aprime", "config_typo", "config_jobs", "config_cache", "config_bound",
          "config_json", "closure"],
 )
 def test_verify_exit_codes(argv, config, code, tmp_path, capsys):

@@ -105,22 +105,38 @@ def test_thm51_nontrivial_square_part_fails_and_is_reported():
 
 
 def test_thm51_a41_fails_and_is_reported():
-    # a = 41 (p = 269, a' = 5) is the next member with a' > 1.  Unlike a = 9,
-    # whose left side is the twist -rhs(5r), its left side matches no +-rhs(k)
-    # for odd k < 16 (at q^30, lhs + rhs(5) has a coefficient 48 at
-    # q^(425/16)): a left-side defect for large a, not yet located.  Both
-    # parity variants fail from the first coefficients on.
+    # a = 41 (p = 269, a' = 5) is the next member with a' > 1.  With h_u
+    # prime to c its left side is the twist -rhs(5r), as at a = 9: the eps = 1
+    # rows hold, and eps = 0 fails from the first coefficients on.
     rep = thm51_check(41, 1, 0, F(20))
     assert not rep.passed
     assert rep.first_mismatch == (F(1, 16), 0, 1)
     rep1 = thm51_check(41, 1, 1, F(20))
-    assert not rep1.passed
-    assert rep1.first_mismatch == (F(1, 8), 0, 1)
+    assert rep1.passed and rep1.first_mismatch is None
 
 
 def _old_lift(params, u):
     # the index lift before the Chinese-remainder fix; right only at a = 1
     return u + 5 * params.p * (1 - u)
+
+
+def _spy_on_fallback(monkeypatch):
+    """Record each index-by-index fallback of ``qseries._theta_progression``.
+
+    ``thm51_lhs`` reaches ``_theta_terms`` only through that fallback.
+    """
+    import raytheta.qseries as qs
+
+    calls = []
+    inner = qs._theta_terms
+
+    def spy(combo, level, T):
+        combo = list(combo)
+        calls.append(len(combo))
+        return inner(combo, level, T)
+
+    monkeypatch.setattr(qs, "_theta_terms", spy)
+    return calls
 
 
 def _triple_sum_oracle(params, trunc, lift):
@@ -153,8 +169,12 @@ def test_thm51_lhs_equals_triple_sum_oracle(a, trunc, eps, lift, monkeypatch):
     import raytheta.identities as ident
 
     monkeypatch.setattr(ident, "thm51_index", lift)
+    fallbacks = _spy_on_fallback(monkeypatch)
     params = FamilyParams.build(a, 1, eps)
     got = thm51_lhs(params, trunc)
+    # the old lift has gcd(h_u, c) > 1 for some u (u = 0 mod 5 at a = 5), so
+    # those progressions miss residues and are summed index by index
+    assert bool(fallbacks) == (lift is _old_lift and a > 1)
     want = _triple_sum_oracle(params, trunc, lift)
     assert (got.denom, got.terms, got.trunc) == (want.denom, want.terms, want.trunc)
 
@@ -186,12 +206,51 @@ def test_thm51_lhs_equals_per_u_product_oracle(a, r, eps):
 
 
 def test_thm51_index_is_the_crt_lift():
-    for a in (1, 5, 9, 13):
+    for a in (1, 5, 9, 13, 41, 441):
         params = FamilyParams.build(a, 1, 0)
-        n = 8 * a * a
+        n = 8 * params.c * params.c
         for u in range(1, (params.p - 1) // 2 + 1):
             h = thm51_index(params, u)
             assert h % params.p == u % params.p and h % n == 1
+            assert gcd(h, params.c) == 1
+
+
+@pytest.mark.parametrize("a", [1, 5, 9, 13, 41])
+def test_thm51_lhs_sums_whole_progressions(a, monkeypatch):
+    # under the lift h_u = 1 mod 8c^2 every progression of L_u and R_u covers
+    # its residue class, so no index is summed on its own
+    import raytheta.identities as ident
+
+    fallbacks = _spy_on_fallback(monkeypatch)
+    progressions = []
+    inner = ident._theta_progression
+
+    def counting(*args):
+        progressions.append(args[4])
+        return inner(*args)
+
+    monkeypatch.setattr(ident, "_theta_progression", counting)
+    for eps in (0, 1):
+        thm51_lhs(FamilyParams.build(a, 1, eps), F(20))
+    c = FamilyParams.build(a, 1, 0).c
+    assert fallbacks == [] and progressions and set(progressions) == {c}
+
+
+def test_consolidate_never_sums_progressions(monkeypatch):
+    # consolidate checks the lemma that the progression sum relies on, so it
+    # must keep summing its c thetas one index at a time
+    import raytheta.identities as ident
+    import raytheta.qseries as qs
+
+    def refuse(*args):
+        raise AssertionError("progression helper called")
+
+    monkeypatch.setattr(qs, "_theta_progression", refuse)
+    monkeypatch.setattr(ident, "_theta_progression", refuse)
+    reports = run_suite("consolidate")
+    assert reports and all(r.passed for r in reports)
+    with pytest.raises(AssertionError, match="progression helper"):
+        thm51_lhs(FamilyParams.build(1, 1, 0), F(2))
 
 
 def test_thm51_fixed_members_pass_for_every_r():
@@ -211,6 +270,8 @@ def test_thm51_parameter_validation():
         thm51_check(3, 1, 0, F(2))  # a = 3 mod 4 without the override
     with pytest.raises(ValueError):
         thm51_check(1, 1, 2, F(2))
+    with pytest.raises(ValueError, match="divides a'"):
+        thm51_check(341, 1, 0, F(2))  # 4a^2 + 1 = 5 * 305^2: p has no inverse mod 8c^2
 
 
 def test_thm51_experimental_override_runs():
