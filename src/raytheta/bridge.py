@@ -112,6 +112,10 @@ class CosetSpec:
     lattice: QIdeal
     d: Fraction
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.d, (int, Fraction)):
+            raise TypeError("the theta scale d is an int or a Fraction")
+
     def offset(self) -> Coords:
         return (Fraction(self.alpha.x), Fraction(self.alpha.y))
 

@@ -18,7 +18,6 @@ from .bridge import cross_field_sides
 from .qseries import (
     QSeries,
     _fraction,
-    _theta_progression,
     eta,
     theta_gen,
     theta_lincomb,
@@ -216,59 +215,60 @@ class FamilyParams:
         return cls(a=a, p=p, aprime=aprime, m=4 * a * a, c=a * aprime, r=r, eps=eps)
 
 
-def thm51_index(params: FamilyParams, u: int) -> int:
-    """The lift h_u of u: h_u = u mod p and h_u = 1 mod 8c^2 (Chinese remainders).
+def _bucket_by_u(s: int, p: int, X: int) -> dict[int, dict[int, int]]:
+    """The lattice points x = s (mod 8), |x| <= X, p not dividing x, bucketed by u.
 
-    Folding L_u = sum_{v<c} V(c h_u (r + 8vp), m) to level 4p, as the
-    consolidation lemma (the ``consolidate`` suite) does, needs h_u prime to
-    c = a a', which h_u = 1 mod 8c^2 gives; h_u = 1 mod 8a^2 would fix
-    nothing mod a' (the two agree when a' = 1).  ``FamilyParams.build``
-    refuses p | a', where p has no inverse mod 8c^2.
+    u0 = x/s mod p; the point goes to bucket u0 with sign +1 when
+    u0 <= (p-1)/2 and to bucket p - u0 with sign -1 otherwise.  Each bucket
+    maps x^2 to its signed count.
     """
-    p, n = params.p, 8 * params.c * params.c
-    return u + p * (((1 - u) * pow(p, -1, n)) % n)
+    inv, half = pow(s, -1, p), (p - 1) // 2
+    buckets: dict[int, dict[int, int]] = {}
+    for x in range(s - 8 * ((X + s) // 8), X + 1, 8):
+        u = x * inv % p
+        if u == 0:
+            continue
+        sign = 1
+        if u > half:
+            u, sign = p - u, -1
+        terms = buckets.setdefault(u, {})
+        e = x * x
+        terms[e] = terms.get(e, 0) + sign
+    return buckets
 
 
 def thm51_lhs(params: FamilyParams, trunc) -> QSeries:
     """Triple sum of V-products at level m = 4a^2,
 
-        sum_{u < p/2} sum_{v, w < c} V(c h_u (r + 8vp), m) V(c h_u ((2a - eps p) r + 8wp), m),
+        sum_{u < p/2} sum_{v, w < c} V(c h_u (r + 8vp), m) V(c h_u (r' + 8wp), m),
 
-    summed as sum_u L_u R_u with L_u and R_u the sums over v and over w.  Both
-    are lattice sums at level k = m(m+1): with f = 2m+1, a V sum over the
-    progression start + j*step (j < c) is prog(start, step) - prog(f start,
-    f step), each prog one residue class when ``_theta_progression`` finds
-    that the c indices cover it.  Every product L_u R_u is accumulated into
-    one integer dict over denominator 4k; R_u is skipped when L_u has no term
-    to q^trunc.
+    with r' = (2a - eps p) r and h_u = u (mod p), h_u = 1 (mod 8c^2), summed
+    as sum_u L_u R_u over lattice points at level 4p.  As k = m(m+1) = 4c^2 p,
+    the c indices of L_u cover one class mod 8cp, so L_u sums q^(x^2/16p)
+    over x = r (mod 8), x = u r (mod p), less the same over x = -u r (mod p)
+    (the f-part: f = 2m+1 is 1 mod 8 and -1 mod p).  Every x prime to p thus
+    feeds exactly one L_u (``_bucket_by_u``), and R_u likewise with r'.  The
+    products of matching buckets go into one integer dict over 16p.  The
+    bucketing needs p prime to c and to r'; without that it raises ValueError.
     """
-    a, p, c, m, r, eps = params.a, params.p, params.c, params.m, params.r, params.eps
+    a, p, c, r, eps = params.a, params.p, params.c, params.r, params.eps
+    rp = (2 * a - eps * p) * r
+    if c % p == 0 or rp % p == 0:
+        raise ValueError(f"p = {p} divides c = {c} or r' = {rp}: no bucketing by u")
     T = _fraction(trunc)
-    k = m * (m + 1)
-    f = 2 * m + 1
-    nmax = (4 * k * T.numerator) // T.denominator
-
-    def v_progression(start: int, step: int) -> dict[int, int]:
-        terms: dict[int, int] = {}
-        _theta_progression(terms, 1, start, step, c, k, T)
-        _theta_progression(terms, -1, f * start, f * step, c, k, T)
-        return terms
-
+    nmax = (16 * p * T.numerator) // T.denominator
+    X = isqrt(nmax)
+    right = _bucket_by_u(rp, p, X)
     out: dict[int, int] = {}
-    for u in range(1, (p - 1) // 2 + 1):
-        hu = thm51_index(params, u)
-        step = 8 * c * p * hu
-        left = v_progression(c * hu * r, step)
-        if not left:
-            continue
-        right_terms = sorted(v_progression(c * hu * (2 * a - eps * p) * r, step).items())
+    for u, left in _bucket_by_u(r, p, X).items():
+        right_terms = sorted(right.get(u, {}).items())
         for nl, cl in left.items():
             for nr, cr in right_terms:
                 n = nl + nr
                 if n > nmax:
                     break
                 out[n] = out.get(n, 0) + cl * cr
-    return QSeries(4 * k, out, T)
+    return QSeries(16 * p, out, T)
 
 
 def thm51_rhs(params: FamilyParams, trunc) -> QSeries:

@@ -43,8 +43,13 @@ class QSeries:
 
     def __init__(self, denom: int, terms: Mapping[int, int], trunc) -> None:
         trunc = _fraction(trunc)
+        if not isinstance(denom, int):
+            raise TypeError("the exponent denominator is an int")
         if denom <= 0:
             raise ValueError("exponent denominator must be positive")
+        # a sum of ints is an int; a float or Fraction coefficient makes it not
+        if type(sum(terms.values())) is not int:
+            raise TypeError("series coefficients are ints")
         # n/denom <= trunc  <=>  n <= floor(trunc * denom), for integer n
         nmax = trunc.numerator * denom // trunc.denominator
         kept = {n: c for n, c in terms.items() if c != 0 and n <= nmax}
@@ -293,30 +298,6 @@ def _theta_terms(combo: Iterable[tuple[int, int]], level: int, T: Fraction) -> d
             e = v * v
             terms[e] = terms.get(e, 0) + c
     return terms
-
-
-def _theta_progression(
-    terms: dict[int, int], sign: int, start: int, step: int, count: int, level: int, T: Fraction
-) -> None:
-    """Add sign * sum_{j < count} theta(start + j*step, level) to q^T into terms.
-
-    The indices start + j*step, j < count, lie in the class of start modulo
-    g = gcd(step, 2k) and are distinct modulo 2k as long as j < 2k/g.  So when
-    count * g = 2k they hit every residue of that class exactly once, and the
-    sum is the one lattice sum over all v = start mod g with |v| <= M; this is
-    checked here on every call, not assumed.  Otherwise the indices are summed
-    one by one with ``_theta_terms``.
-    """
-    two_k = 2 * level
-    g = gcd(step, two_k)
-    if count * g != two_k:
-        for e, c in _theta_terms(((sign, start + j * step) for j in range(count)), level, T).items():
-            terms[e] = terms.get(e, 0) + c
-        return
-    M = isqrt((4 * level * T.numerator) // T.denominator)
-    for v in range(start - g * ((M + start) // g), M + 1, g):
-        e = v * v
-        terms[e] = terms.get(e, 0) + sign
 
 
 def theta_lincomb(combo: Iterable[tuple[int, int]], level: int, trunc) -> QSeries:

@@ -91,13 +91,15 @@ def test_criterion_4_family():
     p13 = FamilyParams.build(13, 1, 0)
     terms = [(p.p - 1) // 2 * p.c * p.c for p in (p5, p13)]
     p441 = FamilyParams.build(441, 1, 0)
-    members = [thm51_check(a, 1, eps, F(20)) for a in (5, 13, 441) for eps in (0, 1)]
+    p705 = FamilyParams.build(705, 1, 0)
+    members = [thm51_check(a, 1, eps, F(20)) for a in (5, 13, 441, 705) for eps in (0, 1)]
     elapsed = time.perf_counter() - t0
     ok = (
         base_ok
         and (p5.m, p5.p, p5.c) == (100, 101, 5)
         and (p13.m, p13.p, p13.c) == (676, 677, 13)
         and (p441.p, p441.aprime, p441.c) == (37, 145, 63945)
+        and (p705.p, p705.aprime) == (1988101, 1)
         and terms == [1250, 57122]
         and all(rep.passed for rep in members)
         and elapsed < 2.0
@@ -105,7 +107,7 @@ def test_criterion_4_family():
     _line(
         "4 (infinite family)",
         ok,
-        f"a=1 rows + a=5, 13, 441 at q^20, eps 0 and 1 (1250 and 57122 V-products at a=5, 13), {elapsed:.2f}s",
+        f"a=1 rows + a=5, 13, 441, 705 at q^20, eps 0 and 1 (1250 and 57122 V-products at a=5, 13), {elapsed:.2f}s",
     )
 
 

@@ -161,6 +161,15 @@ def test_verify_json_deterministic(capsys):
     assert all(row["first_mismatch"] is None for row in blob)
 
 
+@pytest.mark.parametrize("eps", ["0", "1"])
+def test_verify_thm51_large_p_member(eps, capsys):
+    # a = 705: p = 1,988,101 and a' = 1, so the left side has 994,050 u
+    rc = main(["verify", "thm51", "--a", "705", "--eps", eps, "--json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert [(row["params"]["p"], row["pass"]) for row in rows] == [(1988101, True)]
+
+
 def test_verify_thm51_flags(capsys):
     rc = main(["verify", "thm51", "--a", "5", "--r", "1", "--eps", "0", "--trunc", "2/1"])
     assert rc == 0

@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from raytheta.identities import (
     FamilyParams,
     _VCache,
+    _bucket_by_u,
     _integer_kernel,
     _v_sum,
     PellSolution,
@@ -24,7 +25,6 @@ from raytheta.identities import (
     search_regression,
     search_relations,
     thm51_check,
-    thm51_index,
     thm51_lhs,
     thm51_vv_form,
     verify_id1,
@@ -33,6 +33,7 @@ from raytheta.identities import (
     verify_sec54,
 )
 from raytheta.bridge import (
+    CosetSpec,
     check_cross_field,
     check_descent,
     coset_theta_direct,
@@ -115,28 +116,22 @@ def test_thm51_a41_fails_and_is_reported():
     assert rep1.passed and rep1.first_mismatch is None
 
 
+def _crt_lift(params, u):
+    """The lift h_u of u: h_u = u mod p and h_u = 1 mod 8c^2 (Chinese remainders).
+
+    Folding L_u = sum_{v<c} V(c h_u (r + 8vp), m) to level 4p, as the
+    consolidation lemma (the ``consolidate`` suite) does, needs h_u prime to
+    c = a a', which h_u = 1 mod 8c^2 gives; h_u = 1 mod 8a^2 would fix
+    nothing mod a'.  p has an inverse mod 8c^2 since ``FamilyParams.build``
+    refuses p | a'.
+    """
+    p, n = params.p, 8 * params.c * params.c
+    return u + p * (((1 - u) * pow(p, -1, n)) % n)
+
+
 def _old_lift(params, u):
     # the index lift before the Chinese-remainder fix; right only at a = 1
     return u + 5 * params.p * (1 - u)
-
-
-def _spy_on_fallback(monkeypatch):
-    """Record each index-by-index fallback of ``qseries._theta_progression``.
-
-    ``thm51_lhs`` reaches ``_theta_terms`` only through that fallback.
-    """
-    import raytheta.qseries as qs
-
-    calls = []
-    inner = qs._theta_terms
-
-    def spy(combo, level, T):
-        combo = list(combo)
-        calls.append(len(combo))
-        return inner(combo, level, T)
-
-    monkeypatch.setattr(qs, "_theta_terms", spy)
-    return calls
 
 
 def _triple_sum_oracle(params, trunc, lift):
@@ -162,29 +157,27 @@ def _triple_sum_oracle(params, trunc, lift):
     return total
 
 
-@pytest.mark.parametrize("lift", [thm51_index, _old_lift], ids=["crt", "old"])
-@pytest.mark.parametrize("a,trunc", [(1, F(20)), (5, F(20)), (13, F(4))])
+@pytest.mark.parametrize("lift", [_crt_lift, _old_lift], ids=["crt", "old"])
+@pytest.mark.parametrize("a,trunc", [(1, F(20)), (5, F(20)), (13, F(20))])
 @pytest.mark.parametrize("eps", [0, 1])
-def test_thm51_lhs_equals_triple_sum_oracle(a, trunc, eps, lift, monkeypatch):
-    import raytheta.identities as ident
-
-    monkeypatch.setattr(ident, "thm51_index", lift)
-    fallbacks = _spy_on_fallback(monkeypatch)
+def test_thm51_lhs_equals_triple_sum_oracle(a, trunc, eps, lift):
+    # thm51_lhs is the triple sum under the CRT lift; the two lifts agree
+    # mod 8c^2 p only at a = 1, and from a = 5 on the old lift's triple sum is
+    # another series, so the oracle tells a wrong lift apart
     params = FamilyParams.build(a, 1, eps)
     got = thm51_lhs(params, trunc)
-    # the old lift has gcd(h_u, c) > 1 for some u (u = 0 mod 5 at a = 5), so
-    # those progressions miss residues and are summed index by index
-    assert bool(fallbacks) == (lift is _old_lift and a > 1)
     want = _triple_sum_oracle(params, trunc, lift)
-    assert (got.denom, got.terms, got.trunc) == (want.denom, want.terms, want.trunc)
+    assert got.trunc == want.trunc
+    assert (got == want) == (lift is _crt_lift or a == 1)
 
 
-def _per_u_oracle(params, trunc):
-    """thm51's left side as the sum of one QSeries product L_u * R_u per u."""
+def _per_u_oracle(params, trunc, lift=_crt_lift):
+    """thm51's left side as the sum of one QSeries product L_u * R_u per u
+    (the triple sum, multiplied out per u)."""
     a, p, c, m, r, eps = params.a, params.p, params.c, params.m, params.r, params.eps
     products = []
     for u in range(1, (p - 1) // 2 + 1):
-        hu = thm51_index(params, u)
+        hu = lift(params, u)
         left = _v_sum((c * hu * (r + 8 * v * p) for v in range(c)), m, trunc)
         right = _v_sum((c * hu * ((2 * a - eps * p) * r + 8 * w * p) for w in range(c)), m, trunc)
         products.append(left * right)
@@ -205,51 +198,84 @@ def test_thm51_lhs_equals_per_u_product_oracle(a, r, eps):
         assert (got.denom, got.terms, got.trunc) == (want.denom, want.terms, want.trunc)
 
 
+@pytest.mark.parametrize("a", [2, 3, 7, 8, 10, 19])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_thm51_lhs_off_the_family(a, eps):
+    # experimental members: even c (a = 2, 8, 10, where the eps = 0 side has
+    # r' = 0 mod 4, so x and -x share a class and cancel), a = 3 mod 4
+    # (3, 7, 19), and a' = 17 > 1 at a = 19 (4a^2 + 1 = 5 * 17^2)
+    params = FamilyParams.build(a, 1, eps, experimental=True)
+    assert thm51_lhs(params, F(20)) == _per_u_oracle(params, F(20))
+
+
+@pytest.mark.parametrize("eps", [0, 1])
+def test_old_lift_triple_sum_differs_at_a41(eps):
+    # a' = 5 > 1: a wrong lift stays detectable where the lift matters most
+    params = FamilyParams.build(41, 1, eps)
+    assert _per_u_oracle(params, F(20), _old_lift) != thm51_lhs(params, F(20))
+
+
 def test_thm51_index_is_the_crt_lift():
     for a in (1, 5, 9, 13, 41, 441):
         params = FamilyParams.build(a, 1, 0)
         n = 8 * params.c * params.c
         for u in range(1, (params.p - 1) // 2 + 1):
-            h = thm51_index(params, u)
+            h = _crt_lift(params, u)
             assert h % params.p == u % params.p and h % n == 1
             assert gcd(h, params.c) == 1
 
 
 @pytest.mark.parametrize("a", [1, 5, 9, 13, 41])
-def test_thm51_lhs_sums_whole_progressions(a, monkeypatch):
-    # under the lift h_u = 1 mod 8c^2 every progression of L_u and R_u covers
-    # its residue class, so no index is summed on its own
-    import raytheta.identities as ident
+def test_thm51_lhs_sums_whole_progressions(a):
+    # bucket u holds exactly the points of L_u's (or R_u's) two whole
+    # progressions under the CRT lift, +1 on x = h_u s and -1 on x = f h_u s
+    # (mod 8p), and each x = s (mod 8) prime to p lies in one bucket only
+    from raytheta.qseries import _theta_terms
 
-    fallbacks = _spy_on_fallback(monkeypatch)
-    progressions = []
-    inner = ident._theta_progression
-
-    def counting(*args):
-        progressions.append(args[4])
-        return inner(*args)
-
-    monkeypatch.setattr(ident, "_theta_progression", counting)
+    T = F(20)
     for eps in (0, 1):
-        thm51_lhs(FamilyParams.build(a, 1, eps), F(20))
-    c = FamilyParams.build(a, 1, 0).c
-    assert fallbacks == [] and progressions and set(progressions) == {c}
+        params = FamilyParams.build(a, 1, eps)
+        p, c, m = params.p, params.c, params.m
+        k, f, X = m * (m + 1), 2 * m + 1, isqrt(16 * params.p * 20)
+        for s in (params.r, (2 * a - eps * p) * params.r):
+            buckets = _bucket_by_u(s, p, X)
+            # y -> -y maps the class of -s onto that of s, point for point
+            assert _bucket_by_u(-s, p, X) == buckets
+            assert set(buckets) <= set(range(1, (p - 1) // 2 + 1))
+            placed = [(e, n) for terms in buckets.values() for e, n in terms.items()]
+            points = [x * x for x in range(-X, X + 1) if x % 8 == s % 8 and x % p]
+            # x -> x^2 is one-to-one on the class, as s is not 0 mod 4
+            assert sorted(e for e, _ in placed) == sorted(points)
+            assert all(n in (1, -1) for _, n in placed)
+            for u in range(1, (p - 1) // 2 + 1):
+                h = _crt_lift(params, u)
+                start = c * h * s
+                combo = [(sign, g * (start + j * 8 * c * p * h)) for j in range(c) for sign, g in ((1, 1), (-1, f))]
+                want = {e: n for e, n in _theta_terms(combo, k, T).items() if n}
+                assert {c * c * e: n for e, n in buckets.get(u, {}).items()} == want
 
 
-def test_consolidate_never_sums_progressions(monkeypatch):
-    # consolidate checks the lemma that the progression sum relies on, so it
-    # must keep summing its c thetas one index at a time
+def test_thm51_lhs_refuses_p_dividing_c_or_rprime():
+    # FamilyParams.build never makes these, so the guard is reached only by
+    # hand-built parameters
+    params = FamilyParams.build(5, 1, 0)
+    for bad in (replace(params, r=params.p), replace(params, c=params.p * params.c)):
+        with pytest.raises(ValueError, match="no bucketing by u"):
+            thm51_lhs(bad, F(2))
+
+
+def test_consolidate_never_buckets_lattice_points(monkeypatch):
+    # consolidate checks the lemma that the bucketing relies on, so it must
+    # keep summing its c thetas one index at a time
     import raytheta.identities as ident
-    import raytheta.qseries as qs
 
     def refuse(*args):
-        raise AssertionError("progression helper called")
+        raise AssertionError("bucketing called")
 
-    monkeypatch.setattr(qs, "_theta_progression", refuse)
-    monkeypatch.setattr(ident, "_theta_progression", refuse)
+    monkeypatch.setattr(ident, "_bucket_by_u", refuse)
     reports = run_suite("consolidate")
     assert reports and all(r.passed for r in reports)
-    with pytest.raises(AssertionError, match="progression helper"):
+    with pytest.raises(AssertionError, match="bucketing called"):
         thm51_lhs(FamilyParams.build(1, 1, 0), F(2))
 
 
@@ -562,6 +588,9 @@ FLOAT_CALLS = {
     "conductor_of": lambda: conductor_of(4.0, field(-5)),
     "factorint": lambda: factorint(12.0),
     "series_scaled": lambda: theta_gen(1, 3, 4).scaled(2.5),
+    "series_coeff": lambda: QSeries(1, {1: 1.5}, 2),
+    "series_denom": lambda: QSeries(2.0, {}, 2),
+    "coset_spec": lambda: CosetSpec(**{**vars(product_to_coset(1, 4, 4, 40)), "d": 2.5}),
     "theta_gen": lambda: theta_gen(1, 6, 2.0),
     "eta": lambda: eta(2.0),
     "v_func": lambda: v_func(1, 3, 2.0),
@@ -595,9 +624,9 @@ TAKE_NO_NUMBER = (
     "valuation",
 )
 # value types that store their fields as given: the checked entry points build
-# them (Field.elem, product_to_coset, coset_to_rayclass, split_prime,
-# pell_levels, the suites), and QuadInt is built in the innermost loops
-UNCHECKED_VALUES = ("QuadInt", "CosetSpec", "RayThetaSpec", "PellSolution", "SplitRecord", "VerificationReport")
+# them (Field.elem, coset_to_rayclass, split_prime, pell_levels, the suites),
+# and QuadInt is built in the innermost loops
+UNCHECKED_VALUES = ("QuadInt", "RayThetaSpec", "PellSolution", "SplitRecord", "VerificationReport")
 
 
 @pytest.mark.parametrize("call", list(FLOAT_CALLS.values()), ids=list(FLOAT_CALLS))

@@ -170,45 +170,6 @@ def test_theta_lincomb_is_signed_sum_of_thetas(combo, k, T):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(-80, 80),
-    st.integers(-80, 80),
-    st.integers(1, 12),
-    st.booleans(),
-    st.integers(1, 24),
-    st.sampled_from([-1, 1, 3]),
-    truncations,
-)
-def test_theta_progression_is_the_sum_over_its_indices(start, step, count, cover, k, sign, T):
-    # both branches: count * gcd(step, 2k) = 2k (one residue class) or not
-    from math import gcd
-
-    from raytheta.qseries import _theta_progression, _theta_terms
-
-    if cover:
-        count = 2 * k // gcd(step, 2 * k)
-    got = {7: 1}
-    _theta_progression(got, sign, start, step, count, k, T)
-    want = _theta_terms(((sign, start + j * step) for j in range(count)), k, T)
-    want[7] = want.get(7, 0) + 1
-    assert {e: c for e, c in got.items() if c} == {e: c for e, c in want.items() if c}
-
-
-def test_theta_progression_covers_a_whole_class():
-    # the 8 indices 3 + 2j hit every odd residue mod 2k = 16 once, so the sum
-    # runs over every odd |v| <= M
-    from raytheta.qseries import _theta_progression
-
-    got = {}
-    _theta_progression(got, 1, 3, 2, 8, 8, F(10))
-    M = 17  # isqrt(4 * 8 * 10)
-    want = {}
-    for v in range(-M, M + 1, 2):
-        want[v * v] = want.get(v * v, 0) + 1
-    assert got == want
-
-
-@settings(max_examples=300, deadline=None)
-@given(
     st.integers(1, 60),
     st.dictionaries(st.integers(-500, 500), st.integers(-3, 3), max_size=30),
     st.builds(F, st.integers(-60, 200), st.integers(1, 40)),
@@ -244,6 +205,16 @@ def test_scaled_takes_only_int_factors():
     for k in (2.5, F(5, 2), F(2)):
         with pytest.raises(TypeError):
             a.scaled(k)
+
+
+def test_constructor_takes_only_int_coefficients():
+    # floats that cancel, a Fraction equal to an int and a term beyond the
+    # truncation are refused too
+    for terms in ({1: 1.5, 2: -1.5}, {1: F(2)}, {1: 1, 99: 0.5}):
+        with pytest.raises(TypeError, match="coefficients"):
+            QSeries(1, terms, 2)
+    with pytest.raises(TypeError, match="denominator"):
+        QSeries(F(2), {1: 1}, 2)
 
 
 def test_mul_identity():
