@@ -2,8 +2,9 @@
 data, and search for relations.
 
 Exit status: 0 all checks passed, 1 a comparison failed, 2 bad usage, bad
-parameters or an unknown suite, 3 a certificate failure: prime ideals up to
---bound did not generate the certified number of ray classes.
+parameters (a --bound below 2 among them) or an unknown suite, 3 a
+certificate failure: prime ideals up to --bound did not generate the
+certified number of ray classes.
 """
 
 from __future__ import annotations
@@ -223,9 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # parsing leaves the parser unchanged, so one process builds it once
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ClosureError as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
@@ -191,6 +192,8 @@ class FamilyParams:
     def build(cls, a: int, r: int, eps: int, experimental: bool = False) -> "FamilyParams":
         if not all(isinstance(v, int) for v in (a, r, eps)):
             raise TypeError("a, r and eps must be integers")
+        if a < 1:
+            raise ValueError("a must be a positive integer")
         if a % 4 != 1 and not experimental:
             raise ValueError("a must be 1 mod 4 (pass experimental=True to override)")
         if eps not in (0, 1):
@@ -271,11 +274,18 @@ def thm51_lhs(params: FamilyParams, trunc) -> QSeries:
     return QSeries(16 * p, out, T)
 
 
+@lru_cache(maxsize=2)
+def _thm51_conductor(eps: int) -> Conductor:
+    """The conductor (1+i)^(6-eps) over Q[i], one per eps for the whole
+    process, so that its ray class group (labels, coset lattices, canonical
+    representatives) is built once and shared by every thm51 row."""
+    return Conductor(split_prime(field(-1), 2).prime.pow(6 - eps))
+
+
 def thm51_rhs(params: FamilyParams, trunc) -> QSeries:
     """Ray class theta difference over Q[i] at conductor (1+i)^(6-eps)."""
     k1 = field(-1)
-    p2 = split_prime(k1, 2).prime
-    Fc = Conductor(p2.pow(6 - params.eps))
+    Fc = _thm51_conductor(params.eps)
     delta = k1.elem(1, 4)
     r_elt = k1.elem(params.r)
     combo = ClassCombo(
@@ -641,8 +651,7 @@ def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
         params = FamilyParams.build(1, 1, 0)
         lhs = thm51_lhs(params, T)
         k1 = field(-1)
-        p2 = split_prime(k1, 2).prime
-        Fc = Conductor(p2.pow(6))
+        Fc = _thm51_conductor(0)
         combo = ClassCombo(
             [(1, ray_class(1, Fc)), (1, ray_class(k1.elem(1, 4), Fc))]
         )

@@ -564,10 +564,13 @@ def compute_skew_sets(
     p not dividing 2 D D' (p <= bound when a bound is given) until its
     certified order is reached; A and S are the images of x -> x / conj(x)
     on the classes x with psi(x) = +1 and -1.  If the generator primes run
-    out first, ClosureError is raised (never a partial answer).
+    out first, ClosureError is raised (never a partial answer); a bound
+    below 2, which admits no prime at all, is a ValueError.
     """
     if bound is not None and not isinstance(bound, int):
         raise TypeError("bound must be an int")
+    if bound is not None and bound < 2:
+        raise ValueError(f"bound must be at least 2 (got {bound}): no prime p <= bound generates a class")
     if not F.self_conjugate:
         raise ValueError("the conductor must be self-conjugate")
     if not chi.conductor.divides(F):

@@ -91,10 +91,14 @@ def test_parse_class_spec_products():
         (["verify", "id1"], "cache=skew-sets\n", 2),
         (["verify", "id1"], "bound=abc\n", 2),
         (["verify", "id1"], "json=ture\n", 2),
+        (["verify", "thm51", "--a", "-3"], None, 2),
+        (["verify", "sec54", "--bound", "-5"], None, 2),
+        (["verify", "relations55", "--bound", "1"], None, 2),
+        (["verify", "relations55"], "bound=1\n", 2),
         (["verify", "sec54", "--bound", "10"], None, 3),
     ],
     ids=["pass", "fail", "jobs_flag", "unknown_suite", "p_divides_aprime", "config_typo", "config_jobs", "config_cache", "config_bound",
-         "config_json", "closure"],
+         "config_json", "negative_a", "bound_negative", "bound_one", "config_bound_one", "closure"],
 )
 def test_verify_exit_codes(argv, config, code, tmp_path, capsys):
     # 0 all passed, 1 a comparison failed, 2 bad usage, 3 a certificate failure
@@ -321,14 +325,62 @@ def test_verify_bad_family_parameter_exit_two(capsys):
         (["dump", "rayclass", "-D", "-30", "--Dp", "-10", "-F", "P5*P3*4P2", "--bound", "10"], "enumeration failure: "),
         (["dump", "rayclass", "-D", "-5", "--Dp", "-15", "-F", "P3*P3bar"], "not applicable: "),
         (["dump", "rayclass", "-D", "-2", "--Dp", "-2", "-F", "4*P2"], "error: "),
+        (["dump", "rayclass", "-D", "-2", "--Dp", "-1", "-F", "4*P2", "--bound", "-3"], "error: bound must be at least 2"),
     ],
-    ids=["search_trunc", "search_max_coeff", "missing_config", "dump_closure", "dump_overlap", "dump_same_field"],
+    ids=["search_trunc", "search_max_coeff", "missing_config", "dump_closure", "dump_overlap", "dump_same_field", "dump_bound"],
 )
 def test_errors_map_to_exit_codes_without_traceback(argv, message, tmp_path, capsys):
     rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
     out, err = capsys.readouterr()
     assert rc == (3 if message.startswith("enumeration") else 2)
     assert out == "" and err.startswith(message)
+
+
+# The family_deep sequence of one benchmark instance (plain verify, the four
+# thm51 rows, the deep suites), with bad-usage calls between them.
+_REUSE_ARGVS = [
+    ["verify", "--json"],
+    ["verify", "--trunc", "x", "--json"],
+    ["verify", "thm51", "--a", "5", "--r", "7", "--eps", "0", "--trunc", "20/1", "--json"],
+    ["verify", "thm51", "--a", "5", "--r", "1", "--eps", "1", "--trunc", "20/1", "--json"],
+    ["verify", "nosuch", "--json"],
+    ["verify", "thm51", "--a", "13", "--r", "15", "--eps", "0", "--trunc", "20/1", "--json"],
+    ["nosuchcommand"],
+    ["verify", "thm51", "--a", "13", "--r", "9", "--eps", "1", "--trunc", "20/1", "--json"],
+    ["verify", "thm51", "--a", "-3", "--json"],
+    ["verify", "id1", "id2", "consolidate", "search", "--trunc", "400/1", "--json"],
+]
+
+
+def test_main_reuses_its_parser_and_matches_fresh_processes(monkeypatch, capsys):
+    # one process, one parser: every call prints what a fresh process prints
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import raytheta
+    import raytheta.cli as cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    env = {**os.environ, "PYTHONPATH": str(Path(raytheta.__file__).parent.parent)}
+    for argv in _REUSE_ARGVS:
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            rc = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "raytheta.cli", *argv], env=env, capture_output=True, text=True)
+        assert rc == fresh.returncode, argv
+        assert err == fresh.stderr, argv
+        if rc == 2:
+            assert out == fresh.stdout == "", argv
+        else:
+            assert _strip_timing(out) == _strip_timing(fresh.stdout), argv
+    assert built == [1]
 
 
 def test_bench_trace_targets_resolve():

@@ -26,6 +26,7 @@ from raytheta.identities import (
     search_relations,
     thm51_check,
     thm51_lhs,
+    thm51_rhs,
     thm51_vv_form,
     verify_id1,
     verify_id2,
@@ -46,6 +47,7 @@ from raytheta.quadfield import Field, enumerate_ideals, factorint, field, split_
 from raytheta.rayclass import (
     CharacterPsi,
     ClassCombo,
+    Conductor,
     compute_skew_sets,
     conductor_of,
     crt_class,
@@ -298,6 +300,59 @@ def test_thm51_parameter_validation():
         thm51_check(1, 1, 2, F(2))
     with pytest.raises(ValueError, match="divides a'"):
         thm51_check(341, 1, 0, F(2))  # 4a^2 + 1 = 5 * 305^2: p has no inverse mod 8c^2
+    for a in (-3, 0):  # -3 % 4 == 1, so a sign check must come first
+        for experimental in (False, True):
+            with pytest.raises(ValueError, match="positive"):
+                thm51_check(a, 1, 0, F(2), experimental)
+
+
+def test_thm51_builds_one_group_per_eps(monkeypatch):
+    import raytheta.identities as ids
+    import raytheta.rayclass as rc
+
+    built = []
+    real = rc.RayClassGroup.__init__
+
+    def counting(self, Fc):
+        built.append(Fc.key)
+        real(self, Fc)
+
+    monkeypatch.setattr(rc.RayClassGroup, "__init__", counting)
+    ids._thm51_conductor.cache_clear()
+    assert all(rep.passed for rep in run_suite("thm51"))
+    for a, eps in ((5, 0), (5, 1), (13, 0), (13, 1)):
+        assert thm51_check(a, 7, eps, F(20)).passed
+    assert sorted(built) == sorted(ids._thm51_conductor(eps).key for eps in (0, 1))
+
+
+def _fresh_conductor_rhs(params, trunc):
+    """thm51's right side with a conductor, and so a ray class group, of its own."""
+    k1 = field(-1)
+    Fc = Conductor(split_prime(k1, 2).prime.pow(6 - params.eps))
+    r_elt = k1.elem(params.r)
+    combo = ClassCombo([(1, ray_class(r_elt, Fc)), (-1, ray_class(r_elt * k1.elem(1, 4), Fc))])
+    return ray_theta(combo, F(2 ** (4 - params.eps)), trunc)
+
+
+def test_thm51_rows_match_fresh_conductor_oracle():
+    # rows after rows on the shared conductors: same right side, same verdict
+    # and the same first mismatch as with a conductor built for the row alone
+    T, failing = F(20), set()
+    for a in (1, 5, 9, 13, 41):
+        for eps in (0, 1):
+            for r in (1, 3, 5, 7):
+                if (a, r) == (1, 5):  # p = 5 divides r
+                    continue
+                params = FamilyParams.build(a, r, eps)
+                want = _fresh_conductor_rhs(params, T)
+                got = thm51_rhs(params, T)
+                assert (got.denom, got.terms, got.trunc) == (want.denom, want.terms, want.trunc)
+                rep = thm51_check(a, r, eps, T)
+                assert (rep.passed, rep.first_mismatch) == equals_to_order(thm51_lhs(params, T), want, T)
+                if not rep.passed:
+                    failing.add((a, eps))
+    # a' = 5 (mod 8) at eps = 0: the FAIL rows are compared too
+    assert failing == {(9, 0), (41, 0)}
 
 
 def test_thm51_experimental_override_runs():
