@@ -2,9 +2,9 @@
 data, and search for relations.
 
 Exit status: 0 all checks passed, 1 a comparison failed, 2 bad usage, bad
-parameters (a --bound below 2 among them) or an unknown suite, 3 a
-certificate failure: prime ideals up to --bound did not generate the
-certified number of ray classes.
+parameters (a --bound below 2 among them), an unknown suite or an option
+that no named suite takes, 3 a certificate failure: prime ideals up to
+--bound did not generate the certified number of ray classes.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
-from types import MappingProxyType
 from typing import Optional
 
 from . import identities
@@ -32,42 +30,6 @@ from .rayclass import (
 )
 
 
-_CONFIG_KEYS = ("trunc", "bound", "json")
-_JSON_VALUES = MappingProxyType({"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False})
-
-
-def _read_config(path: Optional[str]) -> dict:
-    """The key=value lines of a config file; unknown keys are bad usage."""
-    if not path:
-        return {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read config file {path}: {exc.strerror}")
-    out: dict = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"unknown config key {key!r} in {path}; known: {', '.join(_CONFIG_KEYS)}")
-        out[key] = value
-    if "trunc" in out:
-        out["trunc"] = parse_fraction(out["trunc"])
-    if "bound" in out:
-        try:
-            out["bound"] = int(out["bound"])
-        except ValueError:
-            raise ParseError(f"config key bound={out['bound']!r} is not an integer")
-    if "json" in out:
-        flag = _JSON_VALUES.get(out["json"].lower())
-        if flag is None:
-            raise ParseError(f"config key json={out['json']!r} is not one of {'/'.join(_JSON_VALUES)}")
-        out["json"] = flag
-    return out
-
-
 def _emit_reports(reports, as_json: bool) -> None:
     if as_json:
         print(json.dumps([r.to_json_dict() for r in reports], sort_keys=True, indent=1))
@@ -77,31 +39,23 @@ def _emit_reports(reports, as_json: bool) -> None:
 
 
 def cmd_verify(args) -> int:
-    cfg = _read_config(args.config)
-    trunc = args.trunc if args.trunc is not None else cfg.get("trunc")
-    bound = args.bound if args.bound is not None else cfg.get("bound")
-    as_json = args.json or cfg.get("json", False)
-
-    suites = args.suites or ["id1", "id2", "relations55", "thm51", "consolidate", "pell"]
-    unknown = [s for s in suites if s not in identities.SUITE_NAMES]
+    table = identities.SUITES
+    suites = args.suites or [name for name, suite in table.items() if suite.default]
+    unknown = [s for s in suites if s not in table]
     if unknown:
         print(f"unknown suite(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(identities.SUITE_NAMES)}", file=sys.stderr)
+        print(f"available: {', '.join(table)}", file=sys.stderr)
         return 2
+    given = {key: getattr(args, key) for suite in table.values() for key in suite.options if getattr(args, key) is not None}
+    stray = [key for key in given if all(key not in table[name].options for name in suites)]
+    if stray:
+        raise ValueError(f"no suite among {', '.join(suites)} takes --{', --'.join(stray)}")
 
     reports = []
     for name in suites:
-        reports += identities.run_suite(
-            name,
-            trunc,
-            bound=bound,
-            a=args.a,
-            r=args.r,
-            eps=args.eps,
-            count=args.count,
-            experimental=args.experimental,
-        )
-    _emit_reports(reports, as_json)
+        options = {key: value for key, value in given.items() if key in table[name].options}
+        reports += identities.run_suite(name, args.trunc, **options)
+    _emit_reports(reports, args.json)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -182,17 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument("suites", nargs="*", help=f"suites: {', '.join(identities.SUITE_NAMES)}")
+    p_verify.add_argument("suites", nargs="*", help=f"suites: {', '.join(identities.SUITES)}")
     p_verify.add_argument("--trunc", type=_fraction_arg, default=None, help="truncation as num/den")
     p_verify.add_argument("--bound", type=int, default=None, help="norm cap on the generator primes of ray class groups")
     p_verify.add_argument("--json", action="store_true", help="machine-readable reports")
-    p_verify.add_argument("--config", default=None, help="key=value config file; flags override")
     p_verify.add_argument("--a", type=int, default=None, help="thm51: family parameter a")
     p_verify.add_argument("--r", type=int, default=None, help="thm51: odd index r")
     p_verify.add_argument("--eps", type=int, default=None, help="thm51: 0 or 1")
-    p_verify.add_argument("--count", type=int, default=2, help="pell: number of solutions")
+    p_verify.add_argument("--count", type=int, default=None, help="pell: number of solutions (default 2)")
     p_verify.add_argument(
-        "--experimental", action="store_true", help="thm51: allow a outside 1 mod 4"
+        "--experimental", action="store_true", default=None, help="thm51: allow a outside 1 mod 4"
     )
     p_verify.set_defaults(func=cmd_verify)
 

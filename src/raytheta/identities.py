@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .bridge import cross_field_sides
 from .qseries import (
@@ -292,14 +292,6 @@ def thm51_rhs(params: FamilyParams, trunc) -> QSeries:
         [(1, ray_class(r_elt, Fc)), (-1, ray_class(r_elt * delta, Fc))]
     )
     return ray_theta(combo, Fraction(2 ** (4 - params.eps)), trunc)
-
-
-def thm51_vv_form(params: FamilyParams, trunc) -> QSeries:
-    """The compact a=1 form V(r,4)V(rf,4) + V(7r,4)V(7rf,4), f = |2a - eps p|."""
-    V = _VCache(trunc)
-    f = abs(2 * params.a - params.eps * params.p)
-    r = params.r
-    return V(r, 4) * V(r * f, 4) + V(7 * r, 4) * V(7 * r * f, 4)
 
 
 def thm51_check(
@@ -626,6 +618,27 @@ def id24_pool(trunc=Fraction(20)) -> SearchConfig:
     return SearchConfig.from_products(prods, trunc)
 
 
+def search_regression(trunc=Fraction(20)) -> list[VerificationReport]:
+    """Regression form of the search harness: pools holding known identities
+    must return them (and only them)."""
+    rows = ReportBuilder(trunc)
+    rels1 = search_relations(idp1_pool(rows.trunc))
+    want = [
+        {"L1": 1, "R11": -1, "R12": 1},
+        {"L2": 1, "R21": -1, "R22": 1},
+        {"L3": 1, "R31": -1, "R32": 1},
+    ]
+    got = [r["coeffs"] for r in rels1]
+    ok1 = len(rels1) == 3 and all(
+        w in got or {k: -v for k, v in w.items()} in got for w in want
+    )
+    rows.add("search", {"pool": "idp1", "relations": len(rels1)}, ("", ok1, None))
+    rels2 = search_relations(id24_pool(rows.trunc))
+    ok2 = len(rels2) == 1 and sorted(rels2[0]["coeffs"]) == ["L", "VV1", "VV2"]
+    rows.add("search", {"pool": "id24", "relations": len(rels2)}, ("", ok2, None))
+    return rows.reports
+
+
 # -- negative controls --------------------------------------------------------------------
 
 
@@ -683,80 +696,49 @@ def negative_control(suite: str, trunc=Fraction(10)) -> VerificationReport:
     return rows.add("negative_control", {"suite": suite}, ("", lhs, rhs))
 
 
-# -- the CLI-facing registry -------------------------------------------------------------------
+# -- the suite table -----------------------------------------------------------------------------
 
 
-SUITE_NAMES = ["id1", "id2", "relations55", "thm51", "consolidate", "pell", "sec54", "search"]
+class Suite(NamedTuple):
+    """One suite of ``raytheta verify``; ``run(trunc, **options)`` makes its rows."""
 
-SUITE_DEFAULT_TRUNC = MappingProxyType({
-    "id1": Fraction(20),
-    "id2": Fraction(20),
-    "relations55": Fraction(20),
-    "thm51": Fraction(20),
-    "consolidate": Fraction(10),
-    "pell": Fraction(0),
-    "sec54": Fraction(4),
-    "search": Fraction(20),
+    trunc: Fraction  # the default truncation
+    default: bool  # run by a plain ``raytheta verify``
+    options: tuple[str, ...]  # the keyword options ``run`` takes
+    run: Callable[..., list[VerificationReport]]
+
+
+def _thm51_rows(trunc, a=None, r=None, eps=None, experimental=False) -> list[VerificationReport]:
+    """The three a = 1 rows, or the one row (a, r, eps), each 1, 1, 0 unless given."""
+    rows = [(1, 1, 0), (1, 3, 0), (1, 1, 1)]
+    if (a, r, eps) != (None, None, None):
+        rows = [(1 if a is None else a, 1 if r is None else r, 0 if eps is None else eps)]
+    return [thm51_check(*row, trunc, experimental) for row in rows]
+
+
+# Runners look up thm51_check, consolidate, pell_levels and search_relations
+# when called, so that a wrapper bound to the module's name sees each call.
+SUITES = MappingProxyType({
+    "id1": Suite(Fraction(20), True, (), verify_id1),
+    "id2": Suite(Fraction(20), True, (), verify_id2),
+    "relations55": Suite(Fraction(20), True, ("bound",), verify_relations55),
+    "thm51": Suite(Fraction(20), True, ("a", "r", "eps", "experimental"), _thm51_rows),
+    "consolidate": Suite(Fraction(10), True, (), lambda T: [
+        consolidate(99, 6, 1, 1, 242, T), *(consolidate(195, 12, 1, r, 675, T) for r in (1, -2, -5))
+    ]),
+    "pell": Suite(Fraction(0), True, ("count",), lambda T, count=2: pell_reports(count)),
+    "sec54": Suite(Fraction(4), False, ("bound",), verify_sec54),
+    "search": Suite(Fraction(20), False, (), search_regression),
 })
 
 
-def run_suite(
-    name: str,
-    trunc=None,
-    *,
-    bound: Optional[int] = None,
-    a: Optional[int] = None,
-    r: Optional[int] = None,
-    eps: Optional[int] = None,
-    count: int = 2,
-    experimental: bool = False,
-) -> list[VerificationReport]:
-    if name not in SUITE_NAMES:
-        raise KeyError(name)
-    T = _fraction(trunc) if trunc is not None else SUITE_DEFAULT_TRUNC[name]
-    if name == "id1":
-        return verify_id1(T)
-    if name == "id2":
-        return verify_id2(T)
-    if name == "relations55":
-        return verify_relations55(T, bound)
-    if name == "thm51":
-        if a is None:
-            return [
-                thm51_check(1, rr, ee, T, experimental)
-                for rr, ee in ((1, 0), (3, 0), (1, 1))
-            ]
-        return [thm51_check(a, r if r is not None else 1, eps if eps is not None else 0, T, experimental)]
-    if name == "consolidate":
-        reports = [consolidate(99, 6, 1, 1, 242, T)]
-        for rr in (1, -2, -5):
-            reports.append(consolidate(195, 12, 1, rr, 675, T))
-        return reports
-    if name == "pell":
-        return pell_reports(count)
-    if name == "sec54":
-        return verify_sec54(T, bound)
-    if name == "search":
-        return search_regression(T)
-    raise KeyError(name)
+def run_suite(name: str, trunc=None, **options) -> list[VerificationReport]:
+    """The rows of suite ``name`` at ``trunc`` (the suite's default when None).
 
-
-def search_regression(trunc=Fraction(20)) -> list[VerificationReport]:
-    """Regression form of the search harness: pools holding known identities
-    must return them (and only them)."""
-    rows = ReportBuilder(trunc)
-    rels1 = search_relations(idp1_pool(rows.trunc))
-    want = [
-        {"L1": 1, "R11": -1, "R12": 1},
-        {"L2": 1, "R21": -1, "R22": 1},
-        {"L3": 1, "R31": -1, "R32": 1},
-    ]
-    got = [r["coeffs"] for r in rels1]
-    ok1 = len(rels1) == 3 and all(
-        w in got or {k: -v for k, v in w.items()} in got for w in want
-    )
-    rows.add("search", {"pool": "idp1", "relations": len(rels1)}, ("", ok1, None))
-    rels2 = search_relations(id24_pool(rows.trunc))
-    ok2 = len(rels2) == 1 and sorted(rels2[0]["coeffs"]) == ["L", "VV1", "VV2"]
-    rows.add("search", {"pool": "id24", "relations": len(rels2)}, ("", ok2, None))
-    return rows.reports
+    KeyError for an unknown suite, ValueError for an option it does not take.
+    """
+    suite = SUITES[name]
+    stray = [key for key in options if key not in suite.options]
+    if stray:
+        raise ValueError(f"suite {name} takes no option {', '.join(stray)}")
+    return suite.run(suite.trunc if trunc is None else _fraction(trunc), **options)

@@ -26,7 +26,6 @@ from raytheta.identities import (
     pell_levels,
     thm51_check,
     thm51_lhs,
-    thm51_vv_form,
     verify_id1,
     verify_id2,
     verify_relations55,
@@ -41,6 +40,7 @@ from raytheta.quadfield import (
     principal_ideal,
 )
 from raytheta.rayclass import same_ray_class, Conductor
+from test_identities import thm51_vv_form
 
 DS = (-1, -2, -10, -30)
 

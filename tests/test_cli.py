@@ -1,4 +1,4 @@
-"""Command-line behavior: exit codes, JSON output and config handling."""
+"""Command-line behavior: exit codes, JSON output and suite options."""
 
 import json
 
@@ -79,33 +79,27 @@ def test_parse_class_spec_products():
 
 
 @pytest.mark.parametrize(
-    "argv,config,code",
+    "argv,code",
     [
-        (["verify", "id1"], None, 0),
-        (["verify", "thm51", "--a", "9", "--r", "1", "--eps", "0", "--trunc", "2/1"], None, 1),
-        (["verify", "id1", "--jobs", "2"], None, 2),
-        (["verify", "nosuch"], None, 2),
-        (["verify", "thm51", "--a", "341"], None, 2),
-        (["verify", "id1"], "trunk=6/1\n", 2),
-        (["verify", "id1"], "jobs=2\n", 2),
-        (["verify", "id1"], "cache=skew-sets\n", 2),
-        (["verify", "id1"], "bound=abc\n", 2),
-        (["verify", "id1"], "json=ture\n", 2),
-        (["verify", "thm51", "--a", "-3"], None, 2),
-        (["verify", "sec54", "--bound", "-5"], None, 2),
-        (["verify", "relations55", "--bound", "1"], None, 2),
-        (["verify", "relations55"], "bound=1\n", 2),
-        (["verify", "sec54", "--bound", "10"], None, 3),
+        (["verify", "id1"], 0),
+        (["verify", "thm51", "--a", "9", "--r", "1", "--eps", "0", "--trunc", "2/1"], 1),
+        (["verify", "id1", "--jobs", "2"], 2),
+        (["verify", "nosuch"], 2),
+        (["verify", "thm51", "--a", "341"], 2),
+        (["verify", "thm51", "--a", "-3"], 2),
+        (["verify", "sec54", "--bound", "-5"], 2),
+        (["verify", "relations55", "--bound", "1"], 2),
+        (["verify", "sec54", "--bound", "10"], 3),
+        (["verify", "thm51", "--eps", "7"], 2),
+        (["verify", "id1", "--a", "5"], 2),
+        (["verify", "id1", "--bound", "10"], 2),
+        (["verify", "id1", "--config", "x"], 2),
     ],
-    ids=["pass", "fail", "jobs_flag", "unknown_suite", "p_divides_aprime", "config_typo", "config_jobs", "config_cache", "config_bound",
-         "config_json", "negative_a", "bound_negative", "bound_one", "config_bound_one", "closure"],
+    ids=["pass", "fail", "jobs_flag", "unknown_suite", "p_divides_aprime", "negative_a", "bound_negative", "bound_one",
+         "closure", "eps_seven", "id1_a", "id1_bound", "config_flag"],
 )
-def test_verify_exit_codes(argv, config, code, tmp_path, capsys):
+def test_verify_exit_codes(argv, code, capsys):
     # 0 all passed, 1 a comparison failed, 2 bad usage, 3 a certificate failure
-    if config is not None:
-        path = tmp_path / "run.cfg"
-        path.write_text(config)
-        argv = [*argv, "--config", str(path)]
     try:
         rc = main(argv)
     except SystemExit as exc:  # argparse rejects unknown flags itself
@@ -118,8 +112,21 @@ def test_verify_exit_codes(argv, config, code, tmp_path, capsys):
         assert "FAIL" in out
     else:
         assert out == "" and err
-    if config is not None:
-        assert err.startswith("error: ")
+
+
+def test_verify_thm51_options_without_a_run_one_row(capsys):
+    # a defaults to 1, r to 1 and eps to 0 once any of the three is given
+    assert main(["verify", "thm51", "--r", "3", "--eps", "1", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["pass"], row["params"]["a"], row["params"]["r"], row["params"]["eps"]) for row in rows] == [(True, 1, 3, 1)]
+
+
+def test_plain_verify_with_a_runs_one_thm51_row(capsys):
+    assert main(["verify", "--a", "5", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["name"] for row in rows] == ["id1"] * 3 + ["id2"] * 6 + ["relations55"] * 3 + ["thm51"] + ["consolidate"] * 4 + ["pell"] * 2
+    thm51 = [row["params"] for row in rows if row["name"] == "thm51"]
+    assert [(p["a"], p["r"], p["eps"]) for p in thm51] == [(5, 1, 0)]
 
 
 def test_cli_import_loads_no_thread_pool():
@@ -141,15 +148,6 @@ def _strip_timing(text):
     for row in rows:
         row.pop("wall_time_ms")
     return rows
-
-
-@pytest.mark.parametrize("value,as_json", [("YES", True), ("1", True), ("False", False), ("no", False)])
-def test_config_json_values(value, as_json, tmp_path, capsys):
-    path = tmp_path / "run.cfg"
-    path.write_text(f"json={value}\ntrunc=2/1\n")
-    assert main(["verify", "id1", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("[") == as_json
 
 
 def test_verify_json_deterministic(capsys):
@@ -178,15 +176,6 @@ def test_verify_thm51_flags(capsys):
     rc = main(["verify", "thm51", "--a", "5", "--r", "1", "--eps", "0", "--trunc", "2/1"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
-
-
-def test_verify_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("trunc=6/1\njson=true\n")
-    rc = main(["verify", "id1", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert json.loads(out)[0]["trunc"] == [6, 1]
 
 
 def test_dump_eta_pentagonal(capsys):
@@ -321,16 +310,19 @@ def test_verify_bad_family_parameter_exit_two(capsys):
     [
         (["search", "--trunc=-1/1"], "error: truncation must be >= 0"),
         (["search", "--max-coeff", "-1", "--trunc", "4/1"], "error: max coefficient must be >= 0"),
-        (["verify", "id1", "--config", "{tmp}/missing.cfg"], "error: cannot read config file"),
         (["dump", "rayclass", "-D", "-30", "--Dp", "-10", "-F", "P5*P3*4P2", "--bound", "10"], "enumeration failure: "),
         (["dump", "rayclass", "-D", "-5", "--Dp", "-15", "-F", "P3*P3bar"], "not applicable: "),
         (["dump", "rayclass", "-D", "-2", "--Dp", "-2", "-F", "4*P2"], "error: "),
         (["dump", "rayclass", "-D", "-2", "--Dp", "-1", "-F", "4*P2", "--bound", "-3"], "error: bound must be at least 2"),
+        (["verify", "thm51", "--r", "5", "--eps", "1"], "error: r must be prime to p"),  # p = 5 at a = 1
+        (["verify", "id1", "pell", "--bound", "10", "--count", "3", "--eps", "1"], "error: no suite among id1, pell takes --bound, --eps\n"),
+        (["verify", "thm51", "--experimental", "--count", "3"], "error: no suite among thm51 takes --count\n"),
     ],
-    ids=["search_trunc", "search_max_coeff", "missing_config", "dump_closure", "dump_overlap", "dump_same_field", "dump_bound"],
+    ids=["search_trunc", "search_max_coeff", "dump_closure", "dump_overlap", "dump_same_field", "dump_bound",
+         "thm51_r_not_prime_to_p", "options_of_no_named_suite", "count_without_pell"],
 )
-def test_errors_map_to_exit_codes_without_traceback(argv, message, tmp_path, capsys):
-    rc = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+def test_errors_map_to_exit_codes_without_traceback(argv, message, capsys):
+    rc = main(argv)
     out, err = capsys.readouterr()
     assert rc == (3 if message.startswith("enumeration") else 2)
     assert out == "" and err.startswith(message)
@@ -401,7 +393,8 @@ def test_bench_trace_targets_resolve():
         assert callable(vars(owner).get(attr)), (name, attr)
 
 
-def _bench_runs():
+def _bench_workloads():
+    """perfbench/workloads.py, loaded read-only from this checkout."""
     import importlib.util
     import sys
     from pathlib import Path
@@ -410,8 +403,33 @@ def _bench_runs():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bench_runs():
+    workloads = _bench_workloads()
     runs = [pytest.param(w, seed, False, id=f"{w}-{seed}") for w in workloads.WORKLOADS for seed in (1, 2, 3)]
     return runs + [pytest.param("family_deep", 1, True, id="family_deep-1-trace")]
+
+
+def test_default_suites_match_the_benchmark():
+    # the benchmark checks plain-verify rows against its own copy of the
+    # default suites and their truncations
+    from raytheta.identities import SUITES
+
+    defaults = [(name, suite.trunc) for name, suite in SUITES.items() if suite.default]
+    assert defaults == list(_bench_workloads().DEFAULT_SUITE_TRUNC.items())
+
+
+# Traced family_deep at seed 1: the suite runners reach each traced name
+# through the module, so every call of the parent design is still seen.
+TRACED_FAMILY_DEEP_CALLS = {
+    "identities.run_suite": 14,
+    "identities.thm51_check": 7,
+    "identities.consolidate": 8,
+    "identities.pell_levels": 1,
+    "identities.search_relations": 2,
+}
 
 
 @pytest.mark.parametrize("workload,seed,trace", _bench_runs())
@@ -431,3 +449,7 @@ def test_bench_worker_rows_are_correct(workload, seed, trace):
     assert result["problems"] == []
     assert result["ops_failed"] == 0
     assert result["rows_passed"] == result["rows"]
+    if trace:
+        calls = result["trace"]["calls"]
+        assert {name: n for name, n in calls.items() if name.startswith("identities.")} == TRACED_FAMILY_DEEP_CALLS
+        assert result["trace"]["counts"]["identities.reports"] == 40

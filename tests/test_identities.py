@@ -27,7 +27,6 @@ from raytheta.identities import (
     thm51_check,
     thm51_lhs,
     thm51_rhs,
-    thm51_vv_form,
     verify_id1,
     verify_id2,
     verify_relations55,
@@ -71,6 +70,14 @@ def test_id2_all_pass():
 def test_relations55_all_pass():
     reports = verify_relations55(F(8))
     assert len(reports) == 3 and all(r.passed for r in reports)
+
+
+def thm51_vv_form(params: FamilyParams, trunc) -> QSeries:
+    """The compact a = 1 form V(r,4)V(rf,4) + V(7r,4)V(7rf,4), f = |2a - eps p|."""
+    V = _VCache(trunc)
+    f = abs(2 * params.a - params.eps * params.p)
+    r = params.r
+    return V(r, 4) * V(r * f, 4) + V(7 * r, 4) * V(7 * r * f, 4)
 
 
 def test_thm51_base_cases_match_vv_form():
@@ -573,6 +580,12 @@ def test_run_suite_registry():
     assert len(reports) == 3
     with pytest.raises(KeyError):
         run_suite("nosuch")
+    # an option is passed only to a suite that takes it
+    with pytest.raises(ValueError, match="takes no option bound"):
+        run_suite("id1", F(8), bound=10)
+    with pytest.raises(ValueError, match="takes no option r"):
+        run_suite("pell", count=1, r=3)
+    assert [rep.params["r"] for rep in run_suite("thm51", F(4), r=3)] == [3]
 
 
 def test_stability_under_raised_truncation():
