@@ -251,27 +251,23 @@ def split_coset(spec: CosetSpec, sub: QIdeal) -> list[CosetSpec]:
 # -- the two relation checkers ----------------------------------------------------------
 
 
-def cross_field_sides(
-    D: int,
-    Dprime: int,
-    F: Conductor,
-    Fprime: Conductor,
-    J: QIdeal,
-    Jprime: QIdeal,
-    d,
-    trunc,
-    bound: Optional[int] = None,
-) -> tuple[QSeries, QSeries]:
-    """The two theta differences (A - S)[J] over K and (A' - S')[J'] over K'."""
+def skew_pair(D: int, Dprime: int, F: Conductor, Fprime: Conductor, bound: Optional[int] = None) -> tuple:
+    """((A, S), (A', S')): the skew sets over K at F and over K' at F' of an
+    admissible conductor pair, each group spanned once."""
     chi = CharacterPsi(D, Dprime)
     chip = CharacterPsi(Dprime, D)
     if not admissible(chi, F, chip, Fprime):
         raise ValueError("conductor pair is not admissible")
-    A, S = compute_skew_sets(chi, F, bound)
-    Ap, Sp = compute_skew_sets(chip, Fprime, bound)
-    combo = (ClassCombo.sum_of(A) - ClassCombo.sum_of(S)).times(RayClassRef(J, F))
-    combop = (ClassCombo.sum_of(Ap) - ClassCombo.sum_of(Sp)).times(RayClassRef(Jprime, Fprime))
-    return ray_theta(combo, d, trunc), ray_theta(combop, d, trunc)
+    return compute_skew_sets(chi, F, bound), compute_skew_sets(chip, Fprime, bound)
+
+
+def cross_field_sides(skew: tuple, J: QIdeal, Jprime: QIdeal, d, trunc) -> tuple[QSeries, QSeries]:
+    """The two theta differences (A - S)[J] over K and (A' - S')[J'] over K',
+    for skew = skew_pair(...)."""
+    return tuple(
+        ray_theta((ClassCombo.sum_of(A) - ClassCombo.sum_of(S)).times(RayClassRef(I, A[0].conductor)), d, trunc)
+        for (A, S), I in zip(skew, (J, Jprime))
+    )
 
 
 def check_cross_field(
@@ -294,7 +290,7 @@ def check_cross_field(
     checked at one d is equality for all d.
     """
     rows = ReportBuilder(trunc)
-    lhs, rhs = cross_field_sides(D, Dprime, F, Fprime, J, Jprime, d, rows.trunc, bound)
+    lhs, rhs = cross_field_sides(skew_pair(D, Dprime, F, Fprime, bound), J, Jprime, d, rows.trunc)
     params = {
         "D": D,
         "Dprime": Dprime,

@@ -15,7 +15,7 @@ from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .bridge import cross_field_sides
+from .bridge import cross_field_sides, skew_pair
 from .qseries import (
     QSeries,
     _fraction,
@@ -139,13 +139,6 @@ def _sqrt2_conductors():
     return k2, f4p2, f4
 
 
-def _gauss_conductors():
-    k1 = field(-1)
-    f8 = Conductor(principal_ideal(k1.elem(8)))
-    f4p2 = Conductor(principal_ideal(k1.elem(4)).mul(split_prime(k1, 2).prime))
-    return k1, f8, f4p2
-
-
 def verify_relations55(trunc=Fraction(20), bound: Optional[int] = None) -> list[VerificationReport]:
     """Three theta-difference relations between Q[sqrt(-2)] and Q[i].
 
@@ -155,15 +148,18 @@ def verify_relations55(trunc=Fraction(20), bound: Optional[int] = None) -> list[
     """
     rows = ReportBuilder(trunc)
     k2, f4p2, f4 = _sqrt2_conductors()
-    k1, f8, f4p2_g = _gauss_conductors()
+    k1 = field(-1)
+    # (8) = (1+i)^6 and 4(1+i) = (1+i)^5: the conductors thm51 shares
+    skew16 = skew_pair(-2, -1, f4p2, _thm51_conductor(0), bound)
+    skew8 = skew_pair(-2, -1, f4, _thm51_conductor(1), bound)
     V = _VCache(rows.trunc)
     lines = [
-        ("line1", f4p2, f8, k2.maximal_order, k1.maximal_order, Fraction(16), V(1, 2) * V(1, 3)),
-        ("line2", f4p2, f8, principal_ideal(k2.elem(1, 2)), principal_ideal(k1.elem(3)), Fraction(16), V(1, 2) * V(5, 3)),
-        ("line3", f4, f4p2_g, k2.maximal_order, k1.maximal_order, Fraction(8), V(1, 2) * V(2, 3)),
+        ("line1", skew16, k2.maximal_order, k1.maximal_order, Fraction(16), V(1, 2) * V(1, 3)),
+        ("line2", skew16, principal_ideal(k2.elem(1, 2)), principal_ideal(k1.elem(3)), Fraction(16), V(1, 2) * V(5, 3)),
+        ("line3", skew8, k2.maximal_order, k1.maximal_order, Fraction(8), V(1, 2) * V(2, 3)),
     ]
-    for name, Fc, Fcp, J, Jp, d, vform in lines:
-        lhs, rhs = cross_field_sides(-2, -1, Fc, Fcp, J, Jp, d, rows.trunc, bound)
+    for name, skew, J, Jp, d, vform in lines:
+        lhs, rhs = cross_field_sides(skew, J, Jp, d, rows.trunc)
         rows.add(
             "relations55",
             {"line": name, "d": d},
@@ -277,8 +273,9 @@ def thm51_lhs(params: FamilyParams, trunc) -> QSeries:
 @lru_cache(maxsize=2)
 def _thm51_conductor(eps: int) -> Conductor:
     """The conductor (1+i)^(6-eps) over Q[i], one per eps for the whole
-    process, so that its ray class group (labels, coset lattices, canonical
-    representatives) is built once and shared by every thm51 row."""
+    process, so that its ray class group (labels and coset lattices) is
+    built once and shared by every thm51 row and the Q[i] side of
+    relations55."""
     return Conductor(split_prime(field(-1), 2).prime.pow(6 - eps))
 
 
@@ -434,10 +431,7 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
     h_ok = class_number(K) == 4 and class_number(Kp) == 2
     rows.add("sec54_class_groups", {"hK": class_number(K), "hKp": class_number(Kp)}, ("", h_ok, None))
 
-    chi = CharacterPsi(-30, -10)
-    chip = CharacterPsi(-10, -30)
-    A, S = compute_skew_sets(chi, Fc, bound)
-    Ap, Sp = compute_skew_sets(chip, Fcp, bound)
+    skew = (A, S), (Ap, Sp) = skew_pair(-30, -10, Fc, Fcp, bound)
     mu = K.elem(1, 2)
     expect_A = [
         crt_class([(p5, 1), (p3, 1), (f4p2, 1)], Fc),
@@ -461,7 +455,7 @@ def verify_sec54(trunc=Fraction(4), bound: Optional[int] = None) -> list[Verific
         J = p13.mul(gamma_l.rep)
         gamma_r = crt_class([(p5p, t), (three, 1), (f4p2p, r)], Fcp)
         Jp = p13p.mul(gamma_r.rep)
-        lhs_theta, rhs_theta = cross_field_sides(-30, -10, Fc, Fcp, J, Jp, d, T, bound)
+        lhs_theta, rhs_theta = cross_field_sides(skew, J, Jp, d, T)
         rows.add("sec54_cross", {"s": s, "r": r, "t": t, "d": d}, ("", lhs_theta, rhs_theta))
         rows.add("sec54_lhs_reduction", {"s": s}, ("", (V(1, 2) * V(s, 4)).scaled(2), lhs_theta))
         vv = V(r, 3) * V(2 * t, 5) + V(-5 * r, 3) * V(32 * t, 5)
@@ -704,7 +698,7 @@ class Suite(NamedTuple):
 
     trunc: Fraction  # the default truncation
     default: bool  # run by a plain ``raytheta verify``
-    options: tuple[str, ...]  # the keyword options ``run`` takes
+    options: tuple[str, ...]  # the options it takes: "trunc" and the keywords of ``run``
     run: Callable[..., list[VerificationReport]]
 
 
@@ -719,26 +713,30 @@ def _thm51_rows(trunc, a=None, r=None, eps=None, experimental=False) -> list[Ver
 # Runners look up thm51_check, consolidate, pell_levels and search_relations
 # when called, so that a wrapper bound to the module's name sees each call.
 SUITES = MappingProxyType({
-    "id1": Suite(Fraction(20), True, (), verify_id1),
-    "id2": Suite(Fraction(20), True, (), verify_id2),
-    "relations55": Suite(Fraction(20), True, ("bound",), verify_relations55),
-    "thm51": Suite(Fraction(20), True, ("a", "r", "eps", "experimental"), _thm51_rows),
-    "consolidate": Suite(Fraction(10), True, (), lambda T: [
+    "id1": Suite(Fraction(20), True, ("trunc",), verify_id1),
+    "id2": Suite(Fraction(20), True, ("trunc",), verify_id2),
+    "relations55": Suite(Fraction(20), True, ("trunc", "bound"), verify_relations55),
+    "thm51": Suite(Fraction(20), True, ("trunc", "a", "r", "eps", "experimental"), _thm51_rows),
+    "consolidate": Suite(Fraction(10), True, ("trunc",), lambda T: [
         consolidate(99, 6, 1, 1, 242, T), *(consolidate(195, 12, 1, r, 675, T) for r in (1, -2, -5))
     ]),
+    # pell rows are exact integer checks: no truncation to set
     "pell": Suite(Fraction(0), True, ("count",), lambda T, count=2: pell_reports(count)),
-    "sec54": Suite(Fraction(4), False, ("bound",), verify_sec54),
-    "search": Suite(Fraction(20), False, (), search_regression),
+    "sec54": Suite(Fraction(4), False, ("trunc", "bound"), verify_sec54),
+    "search": Suite(Fraction(20), False, ("trunc",), search_regression),
 })
 
 
 def run_suite(name: str, trunc=None, **options) -> list[VerificationReport]:
     """The rows of suite ``name`` at ``trunc`` (the suite's default when None).
 
-    KeyError for an unknown suite, ValueError for an option it does not take.
+    KeyError for an unknown suite, TypeError for a float trunc, ValueError
+    for an option it does not take (a trunc given to pell among them).
     """
     suite = SUITES[name]
+    if trunc is not None:
+        options = {"trunc": _fraction(trunc), **options}
     stray = [key for key in options if key not in suite.options]
     if stray:
         raise ValueError(f"suite {name} takes no option {', '.join(stray)}")
-    return suite.run(suite.trunc if trunc is None else _fraction(trunc), **options)
+    return suite.run(options.pop("trunc", suite.trunc), **options)

@@ -151,8 +151,8 @@ def parse_class_spec(fld: Field, text: str, F: Conductor) -> RayClassRef:
     """Product of class factors at the conductor F.
 
     Factors: [element], [ideal literal], either with an optional integer
-    exponent ^k, and Chinese-remainder forms [r1,r2,...]@f1*f2*... whose
-    factor list must multiply to F.
+    exponent ^k (taken modulo the group order), and Chinese-remainder forms
+    [r1,r2,...]@f1*f2*... whose factor list must multiply to F.
     """
     s = text.replace(" ", "")
     raw_parts = _split_top(s, "*")
@@ -196,17 +196,13 @@ def parse_class_spec(fld: Field, text: str, F: Conductor) -> RayClassRef:
             else:
                 ideal = principal_ideal(parse_element(fld, inner))
             ref = RayClassRef(ideal, F)
-        if exp < 0:
-            ref = ref.inv()
-            exp = -exp
-        if exp == 0:
-            ref = ray_class(1, F)
-        else:
-            acc = ref
-            for _ in range(exp - 1):
+        # x^order = 1: square and multiply on the reduced exponent
+        acc, exp = ray_class(1, F), exp % F.group.order
+        while exp:
+            if exp & 1:
                 acc = acc * ref
-            ref = acc
-        result = ref if result is None else result * ref
+            ref, exp = ref * ref, exp >> 1
+        result = acc if result is None else result * acc
     if result is None:
         raise ParseError("empty class spec")
     return result

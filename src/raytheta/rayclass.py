@@ -10,9 +10,9 @@ representative (prime to F conj(F)) with I conj(R_j) = (alpha), and rho is
 the smallest residue of u alpha modulo F over the units u.  The label is a
 complete invariant of the ray class, found with one principality test.  The
 group order h phi(F) / [O* : O*_{F,1}] is known in advance (Cohen, Advanced
-Topics in Computational Number Theory, ch. 3-4), so the skew class sets are
-read off the whole group once prime ideals have generated that many classes;
-they are kept on the group, one per conductor object.  A class
+Topics in Computational Number Theory, ch. 3-4), so each call for skew class
+sets reads them off the whole group once prime ideals have generated that
+many classes.  A class
 (RayClassRef) is held as its label: products, inverses, reductions and lifts
 run on labels through the group's multiplication table, and no ideal is
 multiplied to combine classes.
@@ -58,8 +58,8 @@ class NotCoprimeError(ValueError):
 
 
 class ClosureError(RuntimeError):
-    """Prime ideals up to the bound did not generate the certified number of
-    ray classes; increase the bound."""
+    """The certified number of ray classes needs generator primes of norm
+    above the bound; increase the bound."""
 
 
 class SkewOverlapError(ValueError):
@@ -202,8 +202,6 @@ class RayClassGroup:
                 self._table[i, j] = k, self._mul_res(nk, self._inv_res(self._reduce(t.x, t.y)))
         self.one = 0, self._canon(self._reduce(1, 0))
         self._lattices: dict[int, tuple] = {}
-        self._canonical: dict[tuple, QIdeal] = {}
-        self._skew_sets: dict[tuple, tuple] = {}
 
     # residues modulo F, as reduced coordinates (x mod a, y mod c)
     def _reduce(self, x: int, y: int) -> tuple[int, int]:
@@ -246,11 +244,11 @@ class RayClassGroup:
         j = next(j for (i, j), (k, _) in self._table.items() if i == x[0] and k == 0)
         return j, self._canon(self._inv_res(self._mul_res(x[1], self._table[x[0], j][1])))
 
-    def primes(self, bad: int = 1, bound: Optional[int] = None):
-        """Degree-one prime ideals prime to F, of prime norm p <= bound (no
-        cap when bound is None) with p not dividing bad."""
+    def primes(self, bad: int = 1):
+        """Degree-one prime ideals prime to F, of prime norm p not dividing
+        bad, in increasing p; the stream never ends."""
         p = 1
-        while bound is None or p < bound:
+        while True:
             p += 1
             if bad % p and _is_prime(p):
                 for P in split_prime(self.field, p).primes_above():
@@ -259,17 +257,12 @@ class RayClassGroup:
 
     def span(self, gens: Iterable[tuple], one_data, mul_data) -> dict:
         """Every class, each with data carried multiplicatively from the
-        generators.  gens yields (label, data) pairs; it is read until the
-        classes found reach the certified order, and ClosureError is raised
-        if it ends first."""
+        generators.  gens yields (label, data) pairs without end; it is read
+        until the classes found reach the certified order."""
         elems = {self.one: one_data}
         gens = iter(gens)
         while len(elems) < self.order:
-            g, gd = next(gens, (None, None))
-            if g is None:
-                raise ClosureError(
-                    f"generator primes reached {len(elems)} of the {self.order} ray classes; increase the bound"
-                )
+            g, gd = next(gens)
             x, xd = g, gd
             base = list(elems.items())
             while x not in elems:
@@ -302,11 +295,9 @@ class RayClassGroup:
 
         Its generators times conj(R_j) are the nonzero points of least norm
         of the class's coset, found under a bound that starts at the norm of
-        the coset's lattice and grows fourfold.  Kept on the group per class.
+        the coset's lattice and grows fourfold.
         """
-        if x not in self._canonical:
-            self._canonical[x] = _least_ideal(self.field, self.coset(x)[1], self._conj[x[0]].inverse())
-        return self._canonical[x]
+        return _least_ideal(self.field, self.coset(x)[1], self._conj[x[0]].inverse())
 
 
 def same_ray_class(I: QIdeal, J: QIdeal, F: Conductor) -> bool:
@@ -558,14 +549,16 @@ def admissible(chi: CharacterPsi, F: Conductor, chip: CharacterPsi, Fp: Conducto
 def compute_skew_sets(
     chi: CharacterPsi, F: Conductor, bound: Optional[int] = None
 ) -> tuple[list[RayClassRef], list[RayClassRef]]:
-    """The subgroup A of skew classes with character +1 and its coset S.
+    """The subgroup A of skew classes with character +1 and its coset S, in
+    label order.
 
-    The ray class group modulo F is generated from prime ideals P of norm
-    p not dividing 2 D D' (p <= bound when a bound is given) until its
-    certified order is reached; A and S are the images of x -> x / conj(x)
-    on the classes x with psi(x) = +1 and -1.  If the generator primes run
-    out first, ClosureError is raised (never a partial answer); a bound
-    below 2, which admits no prime at all, is a ValueError.
+    The ray class group modulo F is spanned once, from prime ideals P of
+    norm p not dividing 2 D D' in increasing p, until its certified order
+    is reached; A and S are the images of x -> x / conj(x) on the classes x
+    with psi(x) = +1 and -1.  The bound only caps how far the prime stream
+    may run: ClosureError names the largest generator norm used when it is
+    above the bound (never a partial answer), and a bound below 2, which
+    admits no prime at all, is a ValueError.
     """
     if bound is not None and not isinstance(bound, int):
         raise TypeError("bound must be an int")
@@ -576,14 +569,19 @@ def compute_skew_sets(
     if not chi.conductor.divides(F):
         raise ValueError("the conductor must lie inside the character's conductor")
     G = F.group
-    hit = G._skew_sets.get((chi.Dprime, bound))
-    if hit is not None:
-        return hit
-    gens = (
-        (G.label(P), (G.label(P.mul(P.conj().inverse())), chi.value(P)))
-        for P in G.primes(2 * chi.D * chi.Dprime, bound)
-    )
-    elems = G.span(gens, (G.one, 1), lambda x, y: (G.mul(x[0], y[0]), x[1] * y[1]))
+    used = 0
+
+    def gens():
+        nonlocal used
+        for P in G.primes(2 * chi.D * chi.Dprime):
+            used = int(P.norm())
+            yield G.label(P), (G.label(P.mul(P.conj().inverse())), chi.value(P))
+
+    elems = G.span(gens(), (G.one, 1), lambda x, y: (G.mul(x[0], y[0]), x[1] * y[1]))
+    if bound is not None and used > bound:
+        raise ClosureError(
+            f"the {G.order} ray classes need generator primes up to norm {used}, above the bound {bound}"
+        )
     a_idx = {skew for skew, v in elems.values() if v == 1}
     s_idx = {skew for skew, v in elems.values() if v == -1}
     if a_idx & s_idx:
@@ -591,22 +589,18 @@ def compute_skew_sets(
             "skew sets overlap at this conductor: a conjugation-symmetric class "
             "has character value -1, so the subgroup equals its coset"
         )
-    out = tuple(
-        sorted((RayClassRef.of(F, x) for x in idx), key=RayClassRef.canonical_key)
-        for idx in (a_idx, s_idx)
-    )
-    G._skew_sets[chi.Dprime, bound] = out
-    return out
+    return tuple([RayClassRef.of(F, x) for x in sorted(idx)] for idx in (a_idx, s_idx))
 
 
 def skew_sets_to_json(chi: CharacterPsi, F: Conductor, A, S, bound) -> dict:
+    """The skew sets with their classes as canonical HNF keys, in key order."""
     return {
         "D": chi.D,
         "Dprime": chi.Dprime,
         "F": list(F.ideal.key[1:]),
         "bound": bound,
-        "A": [list(x.canonical_key()[1:]) for x in A],
-        "S": [list(x.canonical_key()[1:]) for x in S],
+        "A": [list(key[1:]) for key in sorted(x.canonical_key() for x in A)],
+        "S": [list(key[1:]) for key in sorted(x.canonical_key() for x in S)],
     }
 
 

@@ -75,6 +75,26 @@ def test_parse_class_spec_products():
     assert ref4.same_class(ref3)
 
 
+def test_parse_class_spec_exponent_taken_modulo_the_order():
+    import time
+
+    k2 = field(-2)
+    Fc = Conductor(parse_conductor_expr(k2, "4*P2"))
+    n = Fc.group.order
+    assert n > 1
+    for spec in ("[3]", "[5+2*w]"):
+        def power(k):
+            return parse_class_spec(k2, f"{spec}^{k}", Fc)
+
+        assert power(n + 3) == power(3)
+        assert power(-1) == power(n - 1) == power(1).inv()
+        assert power(0) == power(n) == ray_class(1, Fc)
+        assert power(5) == power(1) * power(2) * power(2)
+    t0 = time.perf_counter()
+    assert parse_class_spec(k2, "[3]^99999999", Fc) == parse_class_spec(k2, f"[3]^{99999999 % n}", Fc)
+    assert time.perf_counter() - t0 < 1
+
+
 # -- CLI commands --------------------------------------------------------------
 
 
@@ -94,9 +114,10 @@ def test_parse_class_spec_products():
         (["verify", "id1", "--a", "5"], 2),
         (["verify", "id1", "--bound", "10"], 2),
         (["verify", "id1", "--config", "x"], 2),
+        (["verify", "pell", "--trunc", "5/1"], 2),
     ],
     ids=["pass", "fail", "jobs_flag", "unknown_suite", "p_divides_aprime", "negative_a", "bound_negative", "bound_one",
-         "closure", "eps_seven", "id1_a", "id1_bound", "config_flag"],
+         "closure", "eps_seven", "id1_a", "id1_bound", "config_flag", "pell_trunc"],
 )
 def test_verify_exit_codes(argv, code, capsys):
     # 0 all passed, 1 a comparison failed, 2 bad usage, 3 a certificate failure
@@ -127,6 +148,15 @@ def test_plain_verify_with_a_runs_one_thm51_row(capsys):
     assert [row["name"] for row in rows] == ["id1"] * 3 + ["id2"] * 6 + ["relations55"] * 3 + ["thm51"] + ["consolidate"] * 4 + ["pell"] * 2
     thm51 = [row["params"] for row in rows if row["name"] == "thm51"]
     assert [(p["a"], p["r"], p["eps"]) for p in thm51] == [(5, 1, 0)]
+
+
+def test_plain_verify_trunc_leaves_pell_at_zero(capsys):
+    # --trunc belongs to every suite but pell, whose rows are exact integer checks
+    assert main(["verify", "--trunc", "5/1", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    truncs = {row["name"]: row["trunc"] for row in rows}
+    assert truncs.pop("pell") == [0, 1]
+    assert set(map(tuple, truncs.values())) == {(5, 1)}
 
 
 def test_cli_import_loads_no_thread_pool():
@@ -310,7 +340,10 @@ def test_verify_bad_family_parameter_exit_two(capsys):
     [
         (["search", "--trunc=-1/1"], "error: truncation must be >= 0"),
         (["search", "--max-coeff", "-1", "--trunc", "4/1"], "error: max coefficient must be >= 0"),
-        (["dump", "rayclass", "-D", "-30", "--Dp", "-10", "-F", "P5*P3*4P2", "--bound", "10"], "enumeration failure: "),
+        (["dump", "rayclass", "-D", "-30", "--Dp", "-10", "-F", "P5*P3*4P2", "--bound", "10"],
+         "enumeration failure: the 256 ray classes need generator primes up to norm 17, above the bound 10\n"),
+        (["verify", "sec54", "--bound", "10"],
+         "enumeration failure: the 256 ray classes need generator primes up to norm 17, above the bound 10\n"),
         (["dump", "rayclass", "-D", "-5", "--Dp", "-15", "-F", "P3*P3bar"], "not applicable: "),
         (["dump", "rayclass", "-D", "-2", "--Dp", "-2", "-F", "4*P2"], "error: "),
         (["dump", "rayclass", "-D", "-2", "--Dp", "-1", "-F", "4*P2", "--bound", "-3"], "error: bound must be at least 2"),
@@ -318,8 +351,8 @@ def test_verify_bad_family_parameter_exit_two(capsys):
         (["verify", "id1", "pell", "--bound", "10", "--count", "3", "--eps", "1"], "error: no suite among id1, pell takes --bound, --eps\n"),
         (["verify", "thm51", "--experimental", "--count", "3"], "error: no suite among thm51 takes --count\n"),
     ],
-    ids=["search_trunc", "search_max_coeff", "dump_closure", "dump_overlap", "dump_same_field", "dump_bound",
-         "thm51_r_not_prime_to_p", "options_of_no_named_suite", "count_without_pell"],
+    ids=["search_trunc", "search_max_coeff", "dump_closure", "verify_closure", "dump_overlap", "dump_same_field",
+         "dump_bound", "thm51_r_not_prime_to_p", "options_of_no_named_suite", "count_without_pell"],
 )
 def test_errors_map_to_exit_codes_without_traceback(argv, message, capsys):
     rc = main(argv)
@@ -452,4 +485,6 @@ def test_bench_worker_rows_are_correct(workload, seed, trace):
     if trace:
         calls = result["trace"]["calls"]
         assert {name: n for name, n in calls.items() if name.startswith("identities.")} == TRACED_FAMILY_DEEP_CALLS
+        # relations55 asks once per conductor of its two pairs; nothing prints a class
+        assert calls["rayclass.skew_sets"] == 4 and calls.get("rayclass.canonical_rep", 0) == 0
         assert result["trace"]["counts"]["identities.reports"] == 40

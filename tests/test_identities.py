@@ -585,6 +585,10 @@ def test_run_suite_registry():
         run_suite("id1", F(8), bound=10)
     with pytest.raises(ValueError, match="takes no option r"):
         run_suite("pell", count=1, r=3)
+    # pell rows are exact integer checks: a truncation is an option it does not take
+    with pytest.raises(ValueError, match="suite pell takes no option trunc"):
+        run_suite("pell", F(5))
+    assert [rep.trunc for rep in run_suite("pell")] == [0, 0]
     assert [rep.params["r"] for rep in run_suite("thm51", F(4), r=3)] == [3]
 
 

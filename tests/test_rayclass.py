@@ -216,10 +216,13 @@ SEC54_SKEW_KEYS = {
 
 
 def test_sec54_skew_set_keys_unchanged():
+    # the printed keys, in (norm, HNF) order; the sets themselves are in label order
     for (D, Dp), data in (((-30, -10), _sqrt30_data()), ((-10, -30), _sqrt10_data())):
-        A, S = compute_skew_sets(CharacterPsi(D, Dp), data[1])
-        got = ([list(x.canonical_key()[1:]) for x in A], [list(x.canonical_key()[1:]) for x in S])
-        assert got == SEC54_SKEW_KEYS[D, Dp]
+        chi = CharacterPsi(D, Dp)
+        A, S = compute_skew_sets(chi, data[1])
+        assert [x.label for x in A] == sorted(x.label for x in A)
+        blob = skew_sets_to_json(chi, data[1], A, S, None)
+        assert (blob["A"], blob["S"]) == SEC54_SKEW_KEYS[D, Dp]
 
 
 def test_canonical_key_stable_across_representatives():
@@ -484,7 +487,7 @@ def test_skew_sets_reduced_conductors():
 
 def test_skew_sets_closure_failure_reported():
     chi = CharacterPsi(-2, -1)
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match="up to norm 3, above the bound 2"):
         compute_skew_sets(chi, f4p2(), bound=2)
 
 
@@ -840,31 +843,30 @@ def test_class_reps_match_oracle_on_field_sweep():
     assert n > 500
 
 
-# -- skew sets are kept on the group of one conductor object ---------------------------------
+# -- skew sets are computed once per suite call, from one span per group ----------------------
 
 
-def test_skew_sets_kept_per_conductor(monkeypatch):
+@pytest.mark.parametrize("suite,groups", [("sec54", 2), ("relations55", 4)])
+def test_suite_call_spans_each_group_once(suite, groups, monkeypatch):
     import raytheta.rayclass as rc
+    from raytheta.identities import run_suite
 
     spans = []
     real = rc.RayClassGroup.span
 
     def counting(self, *args):
-        spans.append(self.conductor)
+        spans.append(self)
         return real(self, *args)
 
     monkeypatch.setattr(rc.RayClassGroup, "span", counting)
-    chi = CharacterPsi(-2, -1)
-    Fc = f4p2()
-    first = compute_skew_sets(chi, Fc)
-    assert compute_skew_sets(chi, Fc) is first
-    assert len(spans) == 1
-    fresh = compute_skew_sets(chi, f4p2())
-    assert fresh is not first and len(spans) == 2
-    assert [[x.canonical_key() for x in xs] for xs in fresh] == [[x.canonical_key() for x in xs] for xs in first]
-    # another bound is another set of generator primes
-    compute_skew_sets(chi, Fc, 100)
-    assert len(spans) == 3
+    run_suite(suite, 1)
+    keys = [G.conductor.key for G in spans]
+    assert len(keys) == len(set(keys)) == groups
+    # a bound only checks the generator norms used; it adds no span
+    run_suite(suite, 1, bound=100)
+    assert len(spans) == 2 * groups and {G.conductor.key for G in spans[groups:]} == set(keys)
+    # nothing of a skew set or a canonical search is kept on a group
+    assert not any(hasattr(G, "_skew_sets") or hasattr(G, "_canonical") for G in spans)
 
 
 def test_no_module_level_cache():
