@@ -1,10 +1,15 @@
 """Command-line front end: run verification suites, dump series and ray class
 data, and search for relations.
 
+`dump` has one subcommand per kind (theta, v, eta, rayclass for the skew
+sets, class for one class's theta series), each taking only its own flags.
+
 Exit status: 0 all checks passed, 1 a comparison failed, 2 bad usage, bad
-parameters (a --bound below 2 among them), an unknown suite or an option
-that no named suite takes, 3 a certificate failure: the certified number of
-ray classes needs generator primes of norm above --bound.
+parameters (a --bound below 2 among them), an unknown suite, an option
+that no named suite takes, a flag of another dump kind or a truncation
+below every term of both sides of a comparison, 3 a certificate failure:
+the certified number of ray classes needs generator primes of norm above
+--bound.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from . import identities
@@ -59,44 +65,28 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_dump(args) -> int:
-    trunc = args.trunc
-    if args.kind == "theta":
-        series = theta_gen(args.ell, args.k, trunc)
-    elif args.kind == "v":
-        series = v_func(args.r, args.m, trunc)
-    elif args.kind == "eta":
-        series = eta(trunc)
-    else:  # rayclass
-        return _dump_rayclass(args)
-    print(json.dumps(series.to_json_dict(), sort_keys=True))
+def _dump(blob, args) -> int:
+    print(json.dumps(blob(args), sort_keys=True))
     return 0
 
 
-def _dump_rayclass(args) -> int:
-    if args.D is None or args.F is None:
-        print("rayclass dump needs -D and -F", file=sys.stderr)
-        return 2
+def _conductor(args):
     fld = field(args.D)
-    F = Conductor(parse_conductor_expr(fld, args.F))
-    if args.class_spec is not None:
-        ref = parse_class_spec(fld, args.class_spec, F)
-        out = {
-            "D": args.D,
-            "F": list(F.ideal.key[1:]),
-            "class": list(ref.canonical_key()[1:]),
-            "theta": ray_theta(ref, args.d, args.trunc).to_json_dict(),
-        }
-        print(json.dumps(out, sort_keys=True))
-        return 0
-    if args.Dp is None:
-        print("skew-set dump needs --Dp as well", file=sys.stderr)
-        return 2
+    return fld, Conductor(parse_conductor_expr(fld, args.F))
+
+
+def _skew_sets(args) -> dict:
+    _, F = _conductor(args)
     chi = CharacterPsi(args.D, args.Dp)
     A, S = compute_skew_sets(chi, F, args.bound)
-    blob = skew_sets_to_json(chi, F, A, S, args.bound)
-    print(json.dumps(blob, sort_keys=True))
-    return 0
+    return skew_sets_to_json(chi, F, A, S, args.bound)
+
+
+def _class_theta(args) -> dict:
+    fld, F = _conductor(args)
+    ref = parse_class_spec(fld, args.class_spec, F)
+    theta = ray_theta(ref, args.d, args.trunc)
+    return {"D": args.D, "F": list(F.ideal.key[1:]), "class": list(ref.canonical_key()[1:]), "theta": theta.to_json_dict()}
 
 
 def cmd_search(args) -> int:
@@ -150,24 +140,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_dump = sub.add_parser("dump", help="print exact series or ray class data as JSON")
-    p_dump.add_argument("kind", choices=["theta", "v", "eta", "rayclass"])
-    p_dump.add_argument("--trunc", type=_fraction_arg, default=Fraction(10))
-    p_dump.add_argument("--ell", type=int, default=1)
-    p_dump.add_argument("--k", type=int, default=6)
-    p_dump.add_argument("--r", type=int, default=1)
-    p_dump.add_argument("--m", type=int, default=2)
-    p_dump.add_argument("-D", "--D", type=int, default=None, help="field discriminant root")
-    p_dump.add_argument("--Dp", type=int, default=None, help="partner field")
-    p_dump.add_argument("-F", "--F", default=None, help="conductor expression, e.g. 4*P2")
-    p_dump.add_argument(
-        "--class",
-        dest="class_spec",
-        default=None,
-        help="class spec, e.g. '[5+2*w]' or '[1,-1]@P3*4P2'; dumps its canonical representative and theta series",
-    )
-    p_dump.add_argument("--d", type=_fraction_arg, default=Fraction(16), help="theta scale for --class")
-    p_dump.add_argument("--bound", type=int, default=None)
-    p_dump.set_defaults(func=cmd_dump)
+    kinds = p_dump.add_subparsers(dest="kind", required=True)
+
+    def kind(name, blob, summary, trunc=True, conductor=False):
+        p = kinds.add_parser(name, help=summary)
+        if trunc:
+            p.add_argument("--trunc", type=_fraction_arg, default=Fraction(10), help="truncation as num/den")
+        if conductor:
+            p.add_argument("-D", "--D", type=int, required=True, help="field discriminant root")
+            p.add_argument("-F", "--F", required=True, help="conductor expression, e.g. 4*P2")
+        p.set_defaults(func=partial(_dump, blob))
+        return p
+
+    p = kind("theta", lambda a: theta_gen(a.ell, a.k, a.trunc).to_json_dict(), "level-k lattice sum theta(ell, k)")
+    p.add_argument("--ell", type=int, default=1)
+    p.add_argument("--k", type=int, default=6)
+    p = kind("v", lambda a: v_func(a.r, a.m, a.trunc).to_json_dict(), "the series V(r, m)")
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--m", type=int, default=2)
+    kind("eta", lambda a: eta(a.trunc).to_json_dict(), "the Dedekind eta series")
+    p = kind("rayclass", _skew_sets, "skew class sets A/S cut out by a partner field", trunc=False, conductor=True)
+    p.add_argument("--Dp", type=int, required=True, help="partner field")
+    p.add_argument("--bound", type=int, default=None, help="norm cap on the generator primes")
+    p = kind("class", _class_theta, "canonical representative and theta series of one ray class", conductor=True)
+    p.add_argument("--class", dest="class_spec", metavar="SPEC", required=True, help="class spec, e.g. '[5+2*w]' or '[1,-1]@P3*4P2'")
+    p.add_argument("--d", type=_fraction_arg, default=Fraction(16), metavar="SCALE", help="theta scale")
 
     p_search = sub.add_parser("search", help="integer-relation search over a product pool")
     p_search.add_argument("--pool", choices=["idp1", "id24"], default="idp1")

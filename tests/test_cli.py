@@ -115,9 +115,13 @@ def test_parse_class_spec_exponent_taken_modulo_the_order():
         (["verify", "id1", "--bound", "10"], 2),
         (["verify", "id1", "--config", "x"], 2),
         (["verify", "pell", "--trunc", "5/1"], 2),
+        (["verify", "pell"], 0),
+        (["verify", "--trunc=0/1"], 2),
+        (["verify", "thm51", "--trunc=1/100"], 2),
     ],
     ids=["pass", "fail", "jobs_flag", "unknown_suite", "p_divides_aprime", "negative_a", "bound_negative", "bound_one",
-         "closure", "eps_seven", "id1_a", "id1_bound", "config_flag", "pell_trunc"],
+         "closure", "eps_seven", "id1_a", "id1_bound", "config_flag", "pell_trunc", "pell", "trunc_zero",
+         "thm51_trunc_below_every_term"],
 )
 def test_verify_exit_codes(argv, code, capsys):
     # 0 all passed, 1 a comparison failed, 2 bad usage, 3 a certificate failure
@@ -253,7 +257,7 @@ def test_dump_rayclass_bad_conductor(capsys):
 
 def test_dump_class_spec_theta(capsys):
     rc = main([
-        "dump", "rayclass", "-D", "-2", "-F", "4*P2",
+        "dump", "class", "-D", "-2", "-F", "4*P2",
         "--class", "[5+2*w]", "--d", "16", "--trunc", "3/1",
     ])
     assert rc == 0
@@ -269,6 +273,29 @@ def test_dump_class_spec_theta(capsys):
     from raytheta.rayclass import ray_theta
 
     assert got == ray_theta(want, 16, 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dump", "eta", "--ell", "5"],
+        ["dump", "theta", "--r", "3"],
+        ["dump", "v", "--k", "6"],
+        ["dump", "rayclass", "-D", "-2", "--Dp", "-1", "-F", "4*P2", "--class", "[3]"],
+        ["dump", "class", "-D", "-2", "-F", "4*P2", "--class", "[3]", "--bound", "10"],
+        ["dump", "rayclass", "-D", "-2", "-F", "4*P2"],
+        ["dump", "class", "-D", "-2", "-F", "4*P2"],
+    ],
+    ids=["eta_ell", "theta_r", "v_k", "rayclass_class", "class_bound", "rayclass_without_Dp", "class_without_class"],
+)
+def test_dump_kind_takes_only_its_own_flags(argv, capsys):
+    # each kind has its own subparser: argparse refuses a flag of another kind
+    # and a missing required flag, before anything is computed
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and err.startswith("usage: raytheta") and "Traceback" not in err
 
 
 def test_search_command(capsys):
@@ -362,7 +389,8 @@ def test_errors_map_to_exit_codes_without_traceback(argv, message, capsys):
 
 
 # The family_deep sequence of one benchmark instance (plain verify, the four
-# thm51 rows, the deep suites), with bad-usage calls between them.
+# thm51 rows, the deep suites), with bad-usage calls between them, then a
+# dump kind and a dump flag of another kind.
 _REUSE_ARGVS = [
     ["verify", "--json"],
     ["verify", "--trunc", "x", "--json"],
@@ -374,6 +402,8 @@ _REUSE_ARGVS = [
     ["verify", "thm51", "--a", "13", "--r", "9", "--eps", "1", "--trunc", "20/1", "--json"],
     ["verify", "thm51", "--a", "-3", "--json"],
     ["verify", "id1", "id2", "consolidate", "search", "--trunc", "400/1", "--json"],
+    ["dump", "class", "-D", "-2", "-F", "4*P2", "--class", "[5+2*w]", "--d", "16", "--trunc", "3/1"],
+    ["dump", "eta", "--ell", "5"],
 ]
 
 
@@ -403,6 +433,8 @@ def test_main_reuses_its_parser_and_matches_fresh_processes(monkeypatch, capsys)
         assert err == fresh.stderr, argv
         if rc == 2:
             assert out == fresh.stdout == "", argv
+        elif argv[0] == "dump":
+            assert out == fresh.stdout, argv
         else:
             assert _strip_timing(out) == _strip_timing(fresh.stdout), argv
     assert built == [1]

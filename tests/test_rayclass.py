@@ -699,12 +699,12 @@ def _suite_ray_theta_calls(monkeypatch):
     monkeypatch.setattr(ids, "ray_theta", record)
     monkeypatch.setattr(bridge, "ray_theta", record)
     ids.verify_relations55(F(2))
-    ids.verify_sec54(F(1))
+    ids.verify_sec54(F(2))
     for a in (1, 5, 13):
         for eps in (0, 1):
             for r in range(1, 16, 2):
                 if a != 1 or r % 5:  # r must be prime to p = 5 when a = 1
-                    ids.thm51_check(a, r, eps, F(1, 2))
+                    ids.thm51_check(a, r, eps, F(1))
     return calls
 
 
@@ -859,11 +859,11 @@ def test_suite_call_spans_each_group_once(suite, groups, monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(rc.RayClassGroup, "span", counting)
-    run_suite(suite, 1)
+    run_suite(suite, 2)
     keys = [G.conductor.key for G in spans]
     assert len(keys) == len(set(keys)) == groups
     # a bound only checks the generator norms used; it adds no span
-    run_suite(suite, 1, bound=100)
+    run_suite(suite, 2, bound=100)
     assert len(spans) == 2 * groups and {G.conductor.key for G in spans[groups:]} == set(keys)
     # nothing of a skew set or a canonical search is kept on a group
     assert not any(hasattr(G, "_skew_sets") or hasattr(G, "_canonical") for G in spans)

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import pytest
+
 from raytheta import report
 from raytheta.qseries import QSeries
 from raytheta.report import ReportBuilder
@@ -40,3 +42,16 @@ def test_merged_checks_report_the_first_failure():
     assert not unlabelled.passed and "notes" not in unlabelled.to_json_dict()
     assert [r.name for r in rows.reports] == ["ok", "series", "verdict", "bare"]
     assert all(r.trunc == F(4) for r in rows.reports)
+
+
+def test_a_row_that_compares_no_term_is_refused():
+    late = QSeries.from_exponents({5: 1}, 8)
+    rows = ReportBuilder(F(4))
+    with pytest.raises(ValueError, match="compares nothing"):
+        rows.add("empty", {}, ("", late, late))
+    with pytest.raises(ValueError, match="compares nothing"):
+        rows.add("zero", {}, ("", QSeries.zero(4), QSeries.zero(4)), ("", True, None))
+    # one check with a term at or below the truncation is enough; verdicts alone never raise
+    assert rows.add("some", {}, ("", ONE, ONE), ("", late, late)).passed
+    assert rows.add("verdict", {}, ("", True, None)).passed
+    assert [r.name for r in rows.reports] == ["some", "verdict"]
