@@ -38,7 +38,6 @@ from .rayclass import (
     compute_skew_sets,
     lift_classes,
     ray_theta,
-    units_mod_conductor,
 )
 from .report import ReportBuilder, VerificationReport
 
@@ -171,6 +170,13 @@ class RayThetaSpec:
     scale: Fraction
     weight: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.scale, (int, Fraction)):
+            raise TypeError("the theta scale is an int or a Fraction")
+        if not isinstance(self.weight, int):
+            raise TypeError("the weight is an int")
+        object.__setattr__(self, "scale", Fraction(self.scale))
+
     def theta(self, trunc) -> QSeries:
         return ray_theta(self.ray_class, self.scale, trunc).scaled(self.weight)
 
@@ -187,8 +193,7 @@ def coset_to_rayclass(spec: CosetSpec) -> RayThetaSpec:
     H = alpha_ideal.add(spec.lattice)
     F = Conductor(spec.lattice.mul(H.inverse()))
     x = RayClassRef(alpha_ideal.mul(H.inverse()), F)
-    _, w = units_mod_conductor(F)
-    return RayThetaSpec(x, spec.d / H.norm(), w)
+    return RayThetaSpec(x, spec.d / H.norm(), F.group.w)
 
 
 # -- coset decomposition --------------------------------------------------------------

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         if conductor:
             p.add_argument("-D", "--D", type=int, required=True, help="field discriminant root")
             p.add_argument("-F", "--F", required=True, help="conductor expression, e.g. 4*P2")
-        p.set_defaults(func=partial(_dump, blob))
+        p.set_defaults(func=partial(_dump, blob), usage=p)
         return p
 
     p = kind("theta", lambda a: theta_gen(a.ell, a.k, a.trunc).to_json_dict(), "level-k lattice sum theta(ell, k)")
@@ -182,7 +182,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args, stray = _parser.parse_known_args(argv)
+    if stray:
+        # a dump kind reports a stray flag with its own usage line
+        getattr(args, "usage", _parser).error(f"unrecognized arguments: {' '.join(stray)}")
     try:
         return args.func(args)
     except ClosureError as exc:

@@ -14,14 +14,14 @@ Topics in Computational Number Theory, ch. 3-4), so each call for skew class
 sets reads them off the whole group once prime ideals have generated that
 many classes.  A class
 (RayClassRef) is held as its label: products, inverses, reductions and lifts
-run on labels through the group's multiplication table, and no ideal is
-multiplied to combine classes.
+run on labels through the group's multiplication table, built on the first
+product, and no ideal is multiplied to combine classes.
 The integral ideals of a class are the multiples of conj(R_j)^-1 by the
 nonzero points of one lattice coset, so its theta series is a lattice sum and
 its smallest ideal comes from a shortest point.  R_j is found the same way:
 the integral ideals of the class of a reduced-form ideal I are the multiples
 of conj(I)^-1 by the nonzero points of conj(I), and R_j is the least of them
-prime to F conj(F).  No ideal is enumerated.
+prime to F conj(F), that is of norm prime to N(F).  No ideal is enumerated.
 """
 
 from __future__ import annotations
@@ -138,14 +138,17 @@ def _coprime_to_conductor(I: QIdeal, F: Conductor) -> bool:
     return all(valuation(I, P) == 0 for P in F.primes)
 
 
-def _least_ideal(fld: Field, coset: tuple, Minv: QIdeal, ok=None) -> QIdeal:
-    """The least integral ideal (alpha) Minv in (norm, HNF) order, over the
-    nonzero points alpha of the coset (ox, oy, a, b, c), that satisfies ok.
+def _least_ideal(fld: Field, coset: tuple, M: QIdeal, coprime: int = 1) -> QIdeal:
+    """The least integral ideal (alpha) M^-1 in (norm, HNF) order, over the
+    nonzero points alpha of the coset (ox, oy, a, b, c) inside the integral
+    ideal M, whose norm is prime to coprime.
 
-    N(alpha) is N(Minv)^-1 times the ideal's norm, so points are taken by
-    norm; the bound starts at the norm of the coset's lattice and grows
-    fourfold, and ideals are built only for the norm being examined.
+    The ideal's norm is N(alpha) / N(M), so points are taken by norm and a
+    norm is rejected before any ideal is built; the bound starts at the norm
+    of the coset's lattice and grows fourfold, and ideals are built only for
+    the norm being examined.
     """
+    nM, Minv = int(M.norm()), M.inverse()
     done, bound = 0, coset[2] * coset[4]
     while True:
         by_norm: dict[int, list] = {}
@@ -153,10 +156,11 @@ def _least_ideal(fld: Field, coset: tuple, Minv: QIdeal, ok=None) -> QIdeal:
             if n > done:
                 by_norm.setdefault(n, []).append((x, y))
         for n in sorted(by_norm):
-            ideals = [principal_ideal(QuadInt(fld, x, y)).mul(Minv) for x, y in by_norm[n]]
-            ideals = [I for I in ideals if ok is None or ok(I)]
-            if ideals:
-                return min(ideals, key=lambda I: I.key)
+            # the ideal's norm, not N(alpha): N(M) may share a prime with
+            # coprime, and then no N(alpha) is prime to it and the search
+            # never ends
+            if gcd(n // nM, coprime) == 1:
+                return min((principal_ideal(QuadInt(fld, x, y)).mul(Minv) for x, y in by_norm[n]), key=lambda I: I.key)
         done, bound = bound, 4 * bound
 
 
@@ -164,26 +168,29 @@ class RayClassGroup:
     """The ray class group modulo a conductor F, with a label for every class.
 
     R_0 = O, R_1, ..., R_{h-1} represent the ideal classes and are prime to
-    F conj(F).  An ideal I prime to F has the label (j, rho): [I] = [R_j],
-    found from I's reduced form, I conj(R_j) = (alpha), and rho is the
-    smallest residue of u alpha modulo F over the units u.  Two ideals share
-    a label exactly when they share a ray class.  Labels multiply through the
-    class-group table R_i R_j conj(R_k) = (t).  The group order
-    h phi(F) / [O* : O*_{F,1}] is known in advance, so a list of classes that
-    reaches it is certified complete.
+    F conj(F).  Since F conj(F) = (N(F)), an integral ideal is prime to it
+    exactly when its norm is prime to N(F), so the R_j search rejects whole
+    norms before it builds any ideal.  An ideal I prime to F has the label
+    (j, rho): [I] = [R_j], found from I's reduced form, I conj(R_j) = (alpha),
+    and rho is the smallest residue of u alpha modulo F over the units u.
+    Two ideals share a label exactly when they share a ray class.  Labels
+    multiply through the class-group table R_i R_j conj(R_k) = (t), whose h^2
+    principality tests are made on the first product or inverse: labelling,
+    cosets, canonical representatives and theta series never read it.  The
+    group order h phi(F) / [O* : O*_{F,1}] is known in advance, so a list of
+    classes that reaches it is certified complete.
     """
 
     def __init__(self, F: Conductor) -> None:
         fld = self.field = F.field
         self.conductor = F
         self._abc = F.ideal.a, F.ideal.b, F.ideal.c
-        # R_j: the least ideal prime to F conj(F) of each class [I], among
-        # the multiples (alpha) conj(I)^-1 of the points alpha of conj(I)
-        ok = F.ideal.mul(F.ideal.conj()).is_coprime
+        # R_j: the least ideal prime to F conj(F) = (N(F)) of each class [I],
+        # among the multiples (alpha) conj(I)^-1 of the points alpha of conj(I)
         conjs = [I.conj() for I in class_group_reps(fld)]
-        reps = [_least_ideal(fld, (0, 0, M.a, M.b, M.c), M.inverse(), ok) for M in conjs]
+        reps = [_least_ideal(fld, (0, 0, M.a, M.b, M.c), M, F.norm()) for M in conjs]
         reps.sort(key=lambda R: (R.a * R.c, R.key))
-        h = len(reps)
+        self._reps = reps
         self._index = {_reduced_form(R): j for j, R in enumerate(reps)}
         self._conj = [R.conj() for R in reps]
         self.phi = 1
@@ -191,17 +198,28 @@ class RayClassGroup:
             n = int(P.norm())
             self.phi *= n ** (e - 1) * (n - 1)
         self.w = units_mod_conductor(F)[1]
-        self.order = h * self.phi * self.w // len(fld.units)
-        self._table: dict[tuple, tuple] = {}
-        for i in range(h):
-            for j in range(h):
-                P = reps[i].mul(reps[j])
-                k = self._index[_reduced_form(P)]
-                t = is_principal(P.mul(self._conj[k]))[0].conj()
-                nk = self._reduce(int(reps[k].norm()), 0)
-                self._table[i, j] = k, self._mul_res(nk, self._inv_res(self._reduce(t.x, t.y)))
+        self.order = len(reps) * self.phi * self.w // len(fld.units)
+        self._table: Optional[dict[tuple, tuple]] = None
         self.one = 0, self._canon(self._reduce(1, 0))
         self._lattices: dict[int, tuple] = {}
+
+    @property
+    def table(self) -> dict[tuple, tuple]:
+        """The class-group table (i, j) -> (k, tau): [R_i R_j] = [R_k] and
+        R_i R_j conj(R_k) = (g) with tau = N(R_k) / conj(g) mod F; built on
+        the first product or inverse, the only callers of its h^2
+        principality tests."""
+        if self._table is None:
+            reps = self._reps
+            self._table = {}
+            for i, Ri in enumerate(reps):
+                for j, Rj in enumerate(reps):
+                    P = Ri.mul(Rj)
+                    k = self._index[_reduced_form(P)]
+                    t = is_principal(P.mul(self._conj[k]))[0].conj()
+                    nk = self._reduce(int(reps[k].norm()), 0)
+                    self._table[i, j] = k, self._mul_res(nk, self._inv_res(self._reduce(t.x, t.y)))
+        return self._table
 
     # residues modulo F, as reduced coordinates (x mod a, y mod c)
     def _reduce(self, x: int, y: int) -> tuple[int, int]:
@@ -237,12 +255,13 @@ class RayClassGroup:
         return j, self._canon(self._reduce(alpha.x, alpha.y))
 
     def mul(self, x: tuple, y: tuple) -> tuple:
-        k, t = self._table[x[0], y[0]]
+        k, t = self.table[x[0], y[0]]
         return k, self._canon(self._mul_res(self._mul_res(x[1], y[1]), t))
 
     def inv(self, x: tuple) -> tuple:
-        j = next(j for (i, j), (k, _) in self._table.items() if i == x[0] and k == 0)
-        return j, self._canon(self._inv_res(self._mul_res(x[1], self._table[x[0], j][1])))
+        table = self.table
+        j = next(j for (i, j), (k, _) in table.items() if i == x[0] and k == 0)
+        return j, self._canon(self._inv_res(self._mul_res(x[1], table[x[0], j][1])))
 
     def primes(self, bad: int = 1):
         """Degree-one prime ideals prime to F, of prime norm p not dividing
@@ -297,7 +316,7 @@ class RayClassGroup:
         of the class's coset, found under a bound that starts at the norm of
         the coset's lattice and grows fourfold.
         """
-        return _least_ideal(self.field, self.coset(x)[1], self._conj[x[0]].inverse())
+        return _least_ideal(self.field, self.coset(x)[1], self._conj[x[0]])
 
 
 def same_ray_class(I: QIdeal, J: QIdeal, F: Conductor) -> bool:

@@ -8,6 +8,7 @@ import pytest
 
 from raytheta.bridge import (
     CosetSpec,
+    RayThetaSpec,
     check_cross_field,
     check_descent,
     coset_theta_direct,
@@ -211,6 +212,16 @@ def test_worked_reduction_example():
     T = F(4)
     ok, mism = equals_to_order(rspec.theta(T), coset_theta_direct(spec, T), T)
     assert ok, mism
+
+
+def test_ray_theta_spec_refuses_floats_when_built():
+    x = coset_to_rayclass(product_to_coset(1, 4, 4, 40)).ray_class
+    with pytest.raises(TypeError):
+        RayThetaSpec(x, 2.5, 1)
+    with pytest.raises(TypeError):
+        RayThetaSpec(x, F(5, 2), 1.0)
+    spec = RayThetaSpec(x, 3, 2)
+    assert type(spec.scale) is F and spec.scale == 3 and spec.weight == 2
 
 
 def test_reduction_rejects_origin_coset():

@@ -290,12 +290,14 @@ def test_dump_class_spec_theta(capsys):
 )
 def test_dump_kind_takes_only_its_own_flags(argv, capsys):
     # each kind has its own subparser: argparse refuses a flag of another kind
-    # and a missing required flag, before anything is computed
+    # and a missing required flag, before anything is computed, and shows the
+    # usage line of the kind, which lists the flags it takes
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, err = capsys.readouterr()
     assert exc.value.code == 2
-    assert out == "" and err.startswith("usage: raytheta") and "Traceback" not in err
+    assert out == "" and err.startswith(f"usage: raytheta dump {argv[1]} [-h]") and "Traceback" not in err
+    assert f"raytheta dump {argv[1]}: error: " in err
 
 
 def test_search_command(capsys):
@@ -484,6 +486,40 @@ def test_default_suites_match_the_benchmark():
 
     defaults = [(name, suite.trunc) for name, suite in SUITES.items() if suite.default]
     assert defaults == list(_bench_workloads().DEFAULT_SUITE_TRUNC.items())
+
+
+def test_bench_round_trips_label_without_a_class_table(monkeypatch):
+    # a round trip labels one ideal and sums its class's coset: one
+    # principality test per label, and no class product, so no group builds
+    # its h^2 class table
+    import raytheta.rayclass as rc
+    from raytheta.bridge import coset_to_rayclass, product_to_coset
+
+    workloads = _bench_workloads()
+    calls = {"is_principal": 0, "label": 0, "table": 0}
+    real_principal, real_label, real_table = rc.is_principal, rc.RayClassGroup.label, rc.RayClassGroup.table
+
+    def principal(I):
+        calls["is_principal"] += 1
+        return real_principal(I)
+
+    def label(self, I):
+        calls["label"] += 1
+        return real_label(self, I)
+
+    def table(self):
+        calls["table"] += 1
+        return real_table.fget(self)
+
+    monkeypatch.setattr(rc, "is_principal", principal)
+    monkeypatch.setattr(rc.RayClassGroup, "label", label)
+    monkeypatch.setattr(rc.RayClassGroup, "table", property(table))
+    products = [step.product for step in workloads.build("theta_deep", 1) if step.product]
+    assert len(products) == len(workloads.ROUND_TRIP_BASES) == 20
+    for r, k, s, ell in products:
+        spec = coset_to_rayclass(product_to_coset(r, k, s, ell))
+        assert not spec.theta(workloads.ROUND_TRIP_TRUNC).is_zero()
+    assert calls == {"is_principal": 20, "label": 20, "table": 0}
 
 
 # Traced family_deep at seed 1: the suite runners reach each traced name

@@ -34,6 +34,7 @@ from raytheta.identities import (
 )
 from raytheta.bridge import (
     CosetSpec,
+    RayThetaSpec,
     check_cross_field,
     check_descent,
     coset_theta_direct,
@@ -664,6 +665,8 @@ FLOAT_CALLS = {
     "series_coeff": lambda: QSeries(1, {1: 1.5}, 2),
     "series_denom": lambda: QSeries(2.0, {}, 2),
     "coset_spec": lambda: CosetSpec(**{**vars(product_to_coset(1, 4, 4, 40)), "d": 2.5}),
+    "ray_theta_spec_scale": lambda: RayThetaSpec(_ray_class_4p2(), 2.5, 1),
+    "ray_theta_spec_weight": lambda: RayThetaSpec(_ray_class_4p2(), 16, 1.0),
     "theta_gen": lambda: theta_gen(1, 6, 2.0),
     "eta": lambda: eta(2.0),
     "v_func": lambda: v_func(1, 3, 2.0),
@@ -697,9 +700,9 @@ TAKE_NO_NUMBER = (
     "valuation",
 )
 # value types that store their fields as given: the checked entry points build
-# them (Field.elem, coset_to_rayclass, split_prime, pell_levels, the suites),
-# and QuadInt is built in the innermost loops
-UNCHECKED_VALUES = ("QuadInt", "RayThetaSpec", "PellSolution", "SplitRecord", "VerificationReport")
+# them (Field.elem, split_prime, pell_levels, the suites), and QuadInt is built
+# in the innermost loops
+UNCHECKED_VALUES = ("QuadInt", "PellSolution", "SplitRecord", "VerificationReport")
 
 
 @pytest.mark.parametrize("call", list(FLOAT_CALLS.values()), ids=list(FLOAT_CALLS))

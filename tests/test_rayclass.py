@@ -324,7 +324,8 @@ def test_class_arithmetic_stays_on_labels(monkeypatch):
     y = ray_class(7, Fc)
     small = [ray_class(1, base), ray_class(11, base)]
     combo = ClassCombo.sum_of([x, y])
-    Fc.group, base.group  # built before counting
+    for G in (Fc.group, base.group):
+        G.mul(G.one, G.one)  # the first product builds the class table; before counting
     counts = _count_outside_label(monkeypatch)
     product, inverse, shifted = x * y, x.inv(), combo.times(y)
     assert (product * inverse).same_class(y) and shifted.terms[0][1].same_class(product)
@@ -841,6 +842,46 @@ def test_class_reps_match_oracle_on_field_sweep():
             assert reps == _reps_oracle(Fc), (D, I)
             n += 1
     assert n > 500
+
+
+# -- the class table is built on the first product, equal to its eager form ---------------------
+
+
+def _table_oracle(G):
+    """The class-group table as the group once built it in its constructor:
+    for each pair (i, j), [R_i R_j] = [R_k] and R_i R_j conj(R_k) = (t)."""
+    reps = [M.conj() for M in G._conj]
+    table = {}
+    for i in range(len(reps)):
+        for j in range(len(reps)):
+            P = reps[i].mul(reps[j])
+            k = G._index[_reduced_form(P)]
+            t = is_principal(P.mul(G._conj[k]))[0].conj()
+            nk = G._reduce(int(reps[k].norm()), 0)
+            table[i, j] = k, G._mul_res(nk, G._inv_res(G._reduce(t.x, t.y)))
+    return table
+
+
+def test_lazy_class_table_matches_eager_oracle_on_suite_groups():
+    # sec54's two groups, relations55's Q[sqrt(-2)] pair and thm51's
+    # (1+i)^(6-eps) for eps = 0 and 1, each built fresh
+    k2, k1 = field(-2), field(-1)
+    conductors = [
+        _sqrt30_data()[1],
+        _sqrt10_data()[1],
+        Conductor(principal_ideal(k2.elem(0, 4))),
+        Conductor(principal_ideal(k2.elem(4))),
+        Conductor(split_prime(k1, 2).prime.pow(6)),
+        Conductor(split_prime(k1, 2).prime.pow(5)),
+    ]
+    for Fc in conductors:
+        G = Fc.group
+        assert G._table is None
+        x = G.label(next(G.primes()))
+        G.coset(x), G.canonical(x)
+        assert G._table is None, Fc
+        assert G.mul(G.one, G.one) == G.one
+        assert G._table is not None and G.table == _table_oracle(G), Fc
 
 
 # -- skew sets are computed once per suite call, from one span per group ----------------------
