@@ -6,8 +6,9 @@ sets, class for one class's theta series), each taking only its own flags.
 
 Exit status: 0 all checks passed, 1 a comparison failed, 2 bad usage, bad
 parameters (a --bound below 2 among them), an unknown suite, an option
-that no named suite takes, a flag of another dump kind or a truncation
-below every term of both sides of a comparison, 3 a certificate failure:
+that no named suite takes, a flag of another dump kind, a truncation
+below every term of both sides of a comparison or a search pool series
+with no term at or below the truncation, 3 a certificate failure:
 the certified number of ray classes needs generator primes of norm above
 --bound.
 """

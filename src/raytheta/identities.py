@@ -543,6 +543,8 @@ def _integer_kernel(rows: Iterable[list[int]], n: int) -> list[list[int]]:
 def search_relations(cfg: SearchConfig) -> list[dict]:
     """Integer relations among the pool series, exact to the configured
     truncation; every hit is tagged CANDIDATE (never claimed proven).
+    A pool series with no term at or below the truncation would make a
+    relation of its own, so it raises ValueError.
 
     The coefficient matrix has one integer row per exponent that occurs in
     some series; its kernel is found by ``_integer_kernel`` without leaving
@@ -561,6 +563,9 @@ def search_relations(cfg: SearchConfig) -> list[dict]:
             prod = term if prod is None else prod * term
         assert prod is not None
         series.append(prod)
+    empty = [lab for lab, s in zip(labels, series) if not (s.terms and s.min_exponent() <= cfg.trunc)]
+    if empty:
+        raise ValueError(f"no term at or below trunc {cfg.trunc} in pool series {', '.join(empty)}: they compare nothing")
     denom = lcm(*(s.denom for s in series))
     grid = {n * (denom // s.denom) for s in series for n in s.terms}
     width = len(series)

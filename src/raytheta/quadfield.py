@@ -22,17 +22,7 @@ from .qseries import _fraction
 
 
 def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
-            n //= d
-        d += 1
-    return True
+    return n != 0 and all(e == 1 for e in factorint(n).values())
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -541,6 +531,11 @@ def split_prime(fld: Field, p: int) -> SplitRecord:
     return SplitRecord(p, "split", prime_at(lo), prime_at(hi))
 
 
+def _prime_ideals_above(fld: Field, p: int) -> list[QIdeal]:
+    """The prime ideals over p: (p) itself when p is inert."""
+    return split_prime(fld, p).primes_above() or [principal_ideal(fld.elem(p))]
+
+
 # -- factorization ------------------------------------------------------------
 
 
@@ -568,17 +563,10 @@ def factor_ideal(I: QIdeal) -> dict[QIdeal, int]:
 
     def accumulate(n_norm: int, sign: int, L: QIdeal) -> None:
         for p in factorint(n_norm):
-            rec = split_prime(fld, p)
-            if rec.kind == "inert":
-                P = principal_ideal(fld.elem(p))
+            for P in _prime_ideals_above(fld, p):
                 v = valuation(L, P)
                 if v:
                     out[P] = out.get(P, 0) + sign * v
-            else:
-                for P in rec.primes_above():
-                    v = valuation(L, P)
-                    if v:
-                        out[P] = out.get(P, 0) + sign * v
 
     integral = QIdeal(fld, 1, I.a, I.b, I.c)
     accumulate(I.a * I.c, 1, integral)
@@ -587,73 +575,64 @@ def factor_ideal(I: QIdeal) -> dict[QIdeal, int]:
     return {P: v for P, v in out.items() if v}
 
 
-# -- principality (rank-2 Gauss reduction) -------------------------------------
+# -- reduced forms and principality (one Gauss reduction) ----------------------
 
 
-def shortest_vector(fld: Field, v1: tuple[int, int], v2: tuple[int, int]) -> tuple[int, int]:
-    """Lagrange-Gauss reduction under the norm form; returns a shortest vector."""
+def _gauss_reduce(I: QIdeal) -> tuple[tuple[int, int, int], tuple[int, int]]:
+    """The reduced form (A, B, C) of I's ideal class, and the first vector u
+    of the reduced basis, a point of least norm A N(L) of L = q I.
 
-    def N(v):
-        return fld.norm_xy(v[0], v[1])
-
-    def inner2(u, v):
-        # doubled bilinear form, always an integer
-        return N((u[0] + v[0], u[1] + v[1])) - N(u) - N(v)
-
-    u, v = v1, v2
-    if N(u) > N(v):
-        u, v = v, u
+    The form is N(x a + y (b + c w)) / N(L) on the oriented HNF basis (u, v)
+    of L, reduced so that |B| <= A <= C, with B >= 0 when A = C
+    (Cohen, GTM 138, 5.3).  Each step is v += r u, or the swap
+    (u, v) <- (v, -u), which keeps the orientation, so two ideals have the
+    same reduced form exactly when they lie in the same ideal class.
+    """
+    fld, n = I.field, I.a * I.c
+    ux, uy, vx, vy = I.a, 0, I.b, I.c
+    A, C = I.a * I.a // n, fld.norm_xy(I.b, I.c) // n
+    B = fld.norm_xy(I.a + I.b, I.c) // n - A - C
     while True:
-        num, den = inner2(u, v), 2 * N(u)
-        t = (2 * num + den) // (2 * den)
-        v = (v[0] - t * u[0], v[1] - t * u[1])
-        if N(v) < N(u):
-            u, v = v, u
-        else:
-            return u
+        r = (A - B) // (2 * A)
+        B, C = B + 2 * r * A, A * r * r + B * r + C
+        vx, vy = vx + r * ux, vy + r * uy
+        if A <= C:
+            return ((A, -B, C) if A == C and B < 0 else (A, B, C)), (ux, uy)
+        A, B, C = C, -B, A
+        ux, uy, vx, vy = vx, vy, -ux, -uy
+
+
+def _reduced_form(I: QIdeal) -> tuple[int, int, int]:
+    """The reduced form (A, B, C) of I's ideal class."""
+    return _gauss_reduce(I)[0]
 
 
 def is_principal(I: QIdeal) -> Optional[tuple[QuadInt, int]]:
     """Generator of I as (numerator, denominator) if principal, else None.
 
     I = (g/den) O_K with g integral; den is I's scale denominator, so den = 1
-    for integral ideals.  The shortest nonzero vector of the scaled lattice
-    generates iff its norm equals the lattice norm a*c.
+    for integral ideals.  I is principal exactly when its reduced form has
+    A = 1, and then the least point u of q I generates it.
     """
-    fld = I.field
-    u = shortest_vector(fld, (I.a, 0), (I.b, I.c))
-    g = QuadInt(fld, u[0], u[1])
-    if g.norm() == I.a * I.c:
-        return g, I.q
-    return None
+    (A, _, _), (x, y) = _gauss_reduce(I)
+    return (QuadInt(I.field, x, y), I.q) if A == 1 else None
 
 
 # -- lattice points --------------------------------------------------------------
 
 
 def quad_le_range(A: int, B: int, C: int) -> Optional[tuple[int, int]]:
-    """Integer solutions of A i^2 + B i + C <= 0 with A > 0, as [lo, hi]."""
+    """Integer solutions of A i^2 + B i + C <= 0 with A > 0, as [lo, hi].
+
+    The roots are (-B -+ sqrt(disc)) / 2A, and floor(x / m) = floor(floor(x) / m)
+    for a positive integer m, so r = isqrt(disc) gives both ends exactly.
+    """
     disc = B * B - 4 * A * C
     if disc < 0:
         return None
     r = isqrt(disc)
-    lo = (-B - r) // (2 * A)
-    hi = (-B + r) // (2 * A) + 1
-
-    def ok(i: int) -> bool:
-        return A * i * i + B * i + C <= 0
-
-    while ok(lo - 1):
-        lo -= 1
-    while not ok(lo) and lo <= hi:
-        lo += 1
-    while ok(hi + 1):
-        hi += 1
-    while not ok(hi) and hi >= lo:
-        hi -= 1
-    if lo > hi:
-        return None
-    return lo, hi
+    lo, hi = -((B + r) // (2 * A)), (r - B) // (2 * A)
+    return (lo, hi) if lo <= hi else None
 
 
 def coset_points(fld: Field, ox: int, oy: int, a: int, b: int, c: int, bound: int):
@@ -694,8 +673,9 @@ def enumerate_ideals(
 ) -> list[QIdeal]:
     """All integral ideals of norm <= bound, sorted by (norm, a, b, c).
 
-    Built multiplicatively from prime powers, so each ideal appears exactly
-    once.  With coprime_to set, prime divisors of that ideal are excluded.
+    Built multiplicatively from the powers of one prime ideal at a time, so
+    by unique factorization each ideal appears exactly once.  With
+    coprime_to set, prime divisors of that ideal are excluded.
     """
     if not isinstance(bound, int):
         raise TypeError("bound must be an int")
@@ -703,76 +683,16 @@ def enumerate_ideals(
         return []
     items: list[tuple[int, QIdeal]] = [(1, fld.maximal_order)]
     for p in primes_upto(bound):
-        rec = split_prime(fld, p)
-        powers: list[tuple[int, QIdeal]] = []
-        if rec.kind == "inert":
-            if p * p > bound:
+        for P in _prime_ideals_above(fld, p):
+            NP = P.a * P.c
+            if NP > bound or coprime_to is not None and _prime_divides(P, coprime_to):
                 continue
-            P = principal_ideal(fld.elem(p))
-            if coprime_to is not None and _prime_divides(P, coprime_to):
-                continue
-            n, cur = p * p, P
-            while n <= bound:
-                powers.append((n, cur))
-                n *= p * p
-                if n <= bound:
-                    cur = cur.mul(P)
-        elif rec.kind == "ramified":
-            P = rec.prime
-            if coprime_to is not None and _prime_divides(P, coprime_to):
-                continue
-            n, cur = p, P
-            while n <= bound:
-                powers.append((n, cur))
-                n *= p
-                if n <= bound:
-                    cur = cur.mul(P)
-        else:
-            P, Pb = rec.prime, rec.conj
-            okP = coprime_to is None or not _prime_divides(P, coprime_to)
-            okPb = coprime_to is None or not _prime_divides(Pb, coprime_to)
-            emax, n = 0, p
-            while n <= bound:
-                emax += 1
-                n *= p
-            pows_p: list[QIdeal] = [fld.maximal_order]
-            pows_pb: list[QIdeal] = [fld.maximal_order]
-            for _ in range(emax):
-                pows_p.append(pows_p[-1].mul(P))
-                pows_pb.append(pows_pb[-1].mul(Pb))
-            for i in range(0, emax + 1):
-                if i and not okP:
-                    break
-                for j in range(0, emax + 1 - i):
-                    if j and not okPb:
-                        break
-                    if i or j:
-                        powers.append((p ** (i + j), pows_p[i].mul(pows_pb[j])))
-        if not powers:
-            continue
-        items += [
-            (n * np, I.mul(Ip)) for n, I in items for np, Ip in powers if n * np <= bound
-        ]
+            powers = [(NP, P)]
+            while powers[-1][0] * NP <= bound:
+                n, I = powers[-1]
+                powers.append((n * NP, I.mul(P)))
+            items += [(n * m, I.mul(J)) for n, I in items for m, J in powers if n * m <= bound]
     return [I for _, I in sorted(items, key=lambda t: (t[0], t[1].key))]
-
-
-def _reduced_form(I: QIdeal) -> tuple[int, int, int]:
-    """The reduced form (A, B, C) of I's ideal class.
-
-    The form is N(x a + y (b + c w)) / N(L) on the oriented HNF basis of the
-    integral lattice L = q I, reduced so that |B| <= A <= C, with B >= 0 when
-    A = C.  Two ideals have the same reduced form exactly when they lie in
-    the same ideal class.
-    """
-    fld, n = I.field, I.a * I.c
-    A, C = I.a * I.a // n, fld.norm_xy(I.b, I.c) // n
-    B = fld.norm_xy(I.a + I.b, I.c) // n - A - C
-    while True:
-        r = (A - B) // (2 * A)
-        B, C = B + 2 * r * A, A * r * r + B * r + C
-        if A <= C:
-            return (A, -B, C) if A == C and B < 0 else (A, B, C)
-        A, B, C = C, -B, A
 
 
 def class_group_reps(fld: Field) -> list[QIdeal]:

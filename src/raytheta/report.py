@@ -73,18 +73,21 @@ class ReportBuilder:
         A check is (label, lhs, rhs) for two series compared to the
         truncation, or (label, ok, mismatch) for a verdict found otherwise.
         The first failing check gives the row its first mismatch and, as its
-        label, its notes.  A row whose series checks have no term at or below
-        the truncation, on either side of any of them, compares nothing and
-        raises ValueError; a verdict-only row never does.
+        label, its notes.  A series check with no term at or below the
+        truncation on either side compares nothing, and raises ValueError
+        naming its label; a verdict check never does.
         """
         passed, notes, first = True, "", None
         for label, x, y in checks:
-            ok, mismatch = (x, y) if isinstance(x, bool) else equals_to_order(x, y, self.trunc)
+            if isinstance(x, bool):
+                ok, mismatch = x, y
+            elif any(s.terms and s.min_exponent() <= self.trunc for s in (x, y)):
+                ok, mismatch = equals_to_order(x, y, self.trunc)
+            else:
+                check = f" in check {label!r}" if label else ""
+                raise ValueError(f"{name} compares nothing{check}: neither side has a term at or below trunc {self.trunc}")
             if passed and not ok:
                 passed, notes, first = False, label, mismatch
-        sides = [s for _, x, y in checks if not isinstance(x, bool) for s in (x, y)]
-        if sides and not any(s.terms and s.min_exponent() <= self.trunc for s in sides):
-            raise ValueError(f"{name} compares nothing: neither side has a term at or below trunc {self.trunc}")
         now = time.perf_counter()
         ms = (now - self._mark) * 1000.0
         self._mark = now

@@ -118,10 +118,12 @@ def test_parse_class_spec_exponent_taken_modulo_the_order():
         (["verify", "pell"], 0),
         (["verify", "--trunc=0/1"], 2),
         (["verify", "thm51", "--trunc=1/100"], 2),
+        (["verify", "search", "--trunc", "1/100"], 2),
+        (["search", "--pool", "id24", "--trunc", "1/100"], 2),
     ],
     ids=["pass", "fail", "jobs_flag", "unknown_suite", "p_divides_aprime", "negative_a", "bound_negative", "bound_one",
          "closure", "eps_seven", "id1_a", "id1_bound", "config_flag", "pell_trunc", "pell", "trunc_zero",
-         "thm51_trunc_below_every_term"],
+         "thm51_trunc_below_every_term", "search_trunc_below_every_term", "search_pool_trunc_below_every_term"],
 )
 def test_verify_exit_codes(argv, code, capsys):
     # 0 all passed, 1 a comparison failed, 2 bad usage, 3 a certificate failure

@@ -398,7 +398,7 @@ def test_consolidate_random_valid_tuples():
     import random
 
     rng = random.Random(3)
-    done = 0
+    done = vacuous = 0
     while done < 25:
         m = rng.choice([2, 3, 4, 5, 8, 14, 20])
         k = m * (m + 1)
@@ -407,9 +407,24 @@ def test_consolidate_random_valid_tuples():
         c = rng.choice(cs)
         b = rng.choice([t for t in range(1, 8) if __import__("math").gcd(t, c) == 1])
         r = rng.randint(-10, 10)
-        # theta(br, k') leads at q^(k'/4) or below, so the theta form compares a term
-        assert consolidate(c, k // (c * c), b, r, m, max(F(8), F(k // (c * c), 4))).passed
-        done += 1
+        kp = k // (c * c)
+        # theta(l, k') leads at q^(k'/4) or below, so the theta form compares a
+        # term; the V form theta(br, k') - theta(br(2m+1), k') is identically
+        # zero exactly when br(2m+1) = +-br mod 2k', and is then refused
+        T = max(F(8), F(kp, 4))
+        x, y = b * r, b * r * (2 * m + 1)
+        if (x - y) % (2 * kp) and (x + y) % (2 * kp):
+            assert consolidate(c, kp, b, r, m, T).passed
+            done += 1
+        else:
+            with pytest.raises(ValueError, match="compares nothing in check 'V form failed'"):
+                consolidate(c, kp, b, r, m, T)
+            vacuous += 1
+    assert vacuous
+    # br(2m + 1) = 27 = -9 mod 24: the V form is 0 = 0 at every truncation
+    for T in (F(10), F(400)):
+        with pytest.raises(ValueError, match="compares nothing in check 'V form failed'"):
+            consolidate(1, 12, 3, 9, 3, T)
 
 
 def test_consolidate_rejects_bad_divisibility():
@@ -457,6 +472,14 @@ def test_search_recovers_known_relations():
 def test_search_single_series_no_relation():
     cfg = SearchConfig.from_products([("only", [(1, 2)])], F(10))
     assert search_relations(cfg) == []
+
+
+def test_search_refuses_pool_series_that_compare_nothing():
+    # each series below the truncation is a one-term "relation" on its own
+    with pytest.raises(ValueError, match="in pool series VV2: they compare nothing"):
+        search_relations(id24_pool(F(1)))
+    with pytest.raises(ValueError, match="in pool series L1, L2, L3, R11, R12, R21, R22, R31, R32: "):
+        search_relations(idp1_pool(F(1, 20)))
 
 
 def test_search_id24_family():

@@ -21,6 +21,7 @@ from raytheta.quadfield import (
     is_squarefree,
     legendre,
     principal_ideal,
+    quad_le_range,
     split_prime,
     sqrt_mod,
     valuation,
@@ -322,11 +323,98 @@ def test_principal_round_trip_random():
         assert any(g == u * alpha for u in k.units)
 
 
+@pytest.mark.parametrize("D", DS)
+def test_principal_exactly_on_the_principal_reduced_form(D):
+    # one Gauss reduction gives both: I is principal exactly when its reduced
+    # form is that of O_K, and then the generator spans the lattice q I
+    k = field(D)
+    O = _reduced_form(k.maximal_order)
+    for I in enumerate_ideals(k, 60):
+        for J in (I, I.scaled(F(1, 3))):
+            got = is_principal(J)
+            assert (got is not None) == (_reduced_form(J) == O), J
+            if got is not None:
+                g, den = got
+                assert den == J.q and principal_ideal(g) == QIdeal(k, 1, J.a, J.b, J.c)
+
+
 def test_non_principal_detected():
     k5 = field(-5)
     p2 = split_prime(k5, 2).prime
     assert is_principal(p2) is None
     assert class_number(k5) == 2
+
+
+# -- quadratic ranges --------------------------------------------------------------
+
+
+def _solutions(A, B, C, lo, hi):
+    return [i for i in range(lo, hi + 1) if A * i * i + B * i + C <= 0]
+
+
+def _check_range(A, B, C):
+    """quad_le_range(A, B, C) is the exact set of integer solutions: both ends
+    solve, their outer neighbours do not, and an empty answer has no solution
+    beside the vertex."""
+    f = lambda i: A * i * i + B * i + C  # noqa: E731
+    got = quad_le_range(A, B, C)
+    if got is None:
+        v = -B // (2 * A)
+        assert f(v) > 0 and f(v + 1) > 0, (A, B, C)
+        return None
+    lo, hi = got
+    assert lo <= hi and f(lo) <= 0 and f(hi) <= 0, (A, B, C)
+    assert f(lo - 1) > 0 and f(hi + 1) > 0, (A, B, C)
+    return got
+
+
+@pytest.mark.parametrize(
+    "A,B,C,want",
+    [
+        (1, -5, 6, (2, 3)),  # (i - 2)(i - 3): integer roots at both ends
+        (3, 3, -18, (-3, 2)),  # 3 (i + 3)(i - 2)
+        (7, -14, 7, (1, 1)),  # 7 (i - 1)^2: a one-point range at a double root
+        (4, -8, 3, (1, 1)),  # (2i - 1)(2i - 3): rational roots around one point
+        (4, -4, 1, None),  # (2i - 1)^2: one real root, no integer
+        (4, -12, 5, (1, 2)),  # (2i - 1)(2i - 5)
+        (6, -5, 1, None),  # (2i - 1)(3i - 1): both roots inside (0, 1)
+        (1, 0, 1, None),  # negative discriminant
+        (1, 0, 0, (0, 0)),
+    ],
+)
+def test_quad_le_range_cases(A, B, C, want):
+    assert quad_le_range(A, B, C) == want
+    assert _check_range(A, B, C) == want
+    lo, hi = want if want else (0, -1)
+    assert _solutions(A, B, C, -30, 30) == list(range(lo, hi + 1))
+
+
+def test_quad_le_range_perfect_square_discriminants_match_brute_force():
+    # A (a1 i - p)(a2 i - s) has roots p / a1 and s / a2: integer roots when
+    # a1 = a2 = 1, and at every pair the discriminant is a perfect square
+    for scale in (1, 2, 5):
+        for a1 in (1, 2, 3):
+            for a2 in (1, 2, 3):
+                for p in range(-6, 7):
+                    for s in range(-6, 7):
+                        A, B, C = scale * a1 * a2, -scale * (a1 * s + a2 * p), scale * p * s
+                        got = _check_range(A, B, C)
+                        lo, hi = got if got else (0, -1)
+                        assert _solutions(A, B, C, -20, 20) == list(range(lo, hi + 1)), (A, B, C)
+
+
+def test_quad_le_range_near_10_12_is_exact_at_both_ends():
+    rng = random.Random(41)
+    for _ in range(2000):
+        A = rng.randint(1, 10**12)
+        x, y = sorted(rng.randint(-(10**12), 10**12) for _ in range(2))
+        # integer roots x, y; irrational or rational roots just off them; and
+        # random coefficients
+        d, e = rng.randint(-3, 3), rng.randint(-3, 3)
+        for B, C in ((-A * (x + y), A * x * y), (-A * (x + y) + d, A * x * y + e),
+                     (rng.randint(-(10**12), 10**12), rng.randint(-(10**12), 10**12))):
+            _check_range(A, B, C)
+        assert quad_le_range(A, -A * (x + y), A * x * y) == (x, y)
 
 
 # -- enumeration -----------------------------------------------------------------

@@ -51,7 +51,10 @@ def test_a_row_that_compares_no_term_is_refused():
         rows.add("empty", {}, ("", late, late))
     with pytest.raises(ValueError, match="compares nothing"):
         rows.add("zero", {}, ("", QSeries.zero(4), QSeries.zero(4)), ("", True, None))
-    # one check with a term at or below the truncation is enough; verdicts alone never raise
-    assert rows.add("some", {}, ("", ONE, ONE), ("", late, late)).passed
+    # every series check must compare a term: one empty check refuses the
+    # row and is named, even beside a check that compares; verdicts never raise
+    with pytest.raises(ValueError, match="some compares nothing in check 'late form'"):
+        rows.add("some", {}, ("early form", ONE, ONE), ("late form", late, late))
+    assert rows.add("one_side", {}, ("", ONE, late), ("", late, ONE)).passed is False
     assert rows.add("verdict", {}, ("", True, None)).passed
-    assert [r.name for r in rows.reports] == ["some", "verdict"]
+    assert [r.name for r in rows.reports] == ["one_side", "verdict"]
